@@ -17,8 +17,10 @@
 //!   last-good mapping is served unchanged until the stream proves
 //!   clean for a configured number of consecutive epochs;
 //! * **crash safety** — with a [`JournalWriter`] attached, every state
-//!   transition is journaled (checksummed, flushed) before the decision
-//!   is returned, and [`OnlineEngine::recover_from`] rebuilds the exact
+//!   transition is journaled (checksummed, written) before the decision
+//!   is returned — or, for a batch fed through
+//!   [`OnlineEngine::ingest_staged`], before [`OnlineEngine::commit`]
+//!   returns — and [`OnlineEngine::recover_from`] rebuilds the exact
 //!   pre-crash state from the journal after a restart.
 
 use crate::config::OnlineConfig;
@@ -194,7 +196,7 @@ impl OnlineEngine {
     }
 
     /// Journal every state transition through `writer` (crash safety).
-    /// Appends are flushed before [`OnlineEngine::ingest`] returns, so
+    /// Records are written before [`OnlineEngine::ingest`] returns, so
     /// an acknowledged decision is always recoverable. A writer that
     /// fails twice in a row is detached (fail-open): the engine keeps
     /// serving decisions without persistence rather than going down.
@@ -395,7 +397,8 @@ impl OnlineEngine {
     /// state this engine already holds for the group (the exporter's
     /// view wins: it acknowledged the stream's newest epochs). Windows
     /// longer than the configured ring capacity keep their newest votes,
-    /// exactly as [`OnlineEngine::restore`] does.
+    /// exactly as [`OnlineEngine::restore`] does. The import is journaled
+    /// before this returns, like an ingested epoch.
     pub fn import_group(&mut self, record: &GroupRecord) {
         let mut ring = EpochRing::new(self.cfg.window);
         for e in &record.window {
@@ -420,6 +423,10 @@ impl OnlineEngine {
                 last_explanation: None,
             },
         );
+        if self.journal.is_some() {
+            self.log(&[JournalRecord::Group(record.clone())]);
+            self.commit();
+        }
     }
 
     /// Drop one group's in-memory state after it was handed off (the
@@ -438,15 +445,45 @@ impl OnlineEngine {
     /// journaling after recovery.
     pub fn recover_from(&mut self, path: &Path) -> symbio::Result<Recovery> {
         let recovery = Recovery::load(path, self.cfg.window)?;
+        self.adopt(&recovery);
+        Ok(recovery)
+    }
+
+    /// [`OnlineEngine::recover_from`] and [`OnlineEngine::with_journal`]
+    /// on the same file in one read of it: replay the journal at `path`
+    /// into this engine, then keep journaling to it (created if missing).
+    pub fn recover_journaled(
+        &mut self,
+        path: &Path,
+        snapshot_every: u64,
+    ) -> symbio::Result<Recovery> {
+        let (writer, recovery) = JournalWriter::recover(path, snapshot_every, self.cfg.window)?;
+        self.adopt(&recovery);
+        self.journal = Some(writer);
+        Ok(recovery)
+    }
+
+    fn adopt(&mut self, recovery: &Recovery) {
         self.restore(&recovery.state);
         Counters::add(&self.counters.recovery_replays, recovery.frames);
         Counters::add(&self.counters.journal_bytes, recovery.bytes);
-        Ok(recovery)
+    }
+
+    /// Ingest one snapshot and journal what it changed before returning:
+    /// [`OnlineEngine::ingest_staged`] then [`OnlineEngine::commit`], a
+    /// batch of one.
+    pub fn ingest(&mut self, snap: &SigSnapshot) -> symbio::Result<Decision> {
+        let decision = self.ingest_staged(snap);
+        self.commit();
+        decision
     }
 
     /// Ingest one snapshot: invoke the allocator, slide the vote window,
     /// detect phase changes, and apply majority + hysteresis to decide
-    /// whether the group's mapping changes.
+    /// whether the group's mapping changes. With a journal attached the
+    /// transition records are only staged: the caller must not
+    /// acknowledge the decision before [`OnlineEngine::commit`] has
+    /// written them (one commit may cover any number of staged ingests).
     ///
     /// Robustness gates run first: an already-acknowledged sequence
     /// number is answered idempotently ([`DecisionReason::Duplicate`]),
@@ -455,7 +492,7 @@ impl OnlineEngine {
     /// [`Error::Protocol`], and a quarantined group serves its last-good
     /// mapping ([`DecisionReason::Quarantined`]) without tallying until
     /// its clean streak completes.
-    pub fn ingest(&mut self, snap: &SigSnapshot) -> symbio::Result<Decision> {
+    pub fn ingest_staged(&mut self, snap: &SigSnapshot) -> symbio::Result<Decision> {
         // Duplicate suppression before anything else: a client retrying
         // a request whose reply was lost must not re-tally the vote (or
         // re-strike the group).
@@ -867,45 +904,49 @@ impl OnlineEngine {
         Err(Error::Protocol(msg))
     }
 
-    /// Append `records` to the attached journal (no-op when detached).
-    /// Each append is retried once; a second failure detaches the
-    /// journal (fail-open) so persistence trouble never takes down the
-    /// decision path. A due full-state snapshot is appended afterwards.
+    /// Stage `records` on the attached journal (no-op when detached);
+    /// [`OnlineEngine::commit`] writes them.
     fn log(&mut self, records: &[JournalRecord]) {
+        let Some(writer) = self.journal.as_mut() else {
+            return;
+        };
+        for record in records {
+            if let Err(e) = writer.append(record) {
+                eprintln!(
+                    "symbio-online: journal record for {} did not encode ({e}); \
+                     detaching journal, decisions continue unpersisted",
+                    writer.path().display()
+                );
+                self.journal = None;
+                return;
+            }
+        }
+    }
+
+    /// Write everything staged since the last commit to the attached
+    /// journal (no-op when detached or nothing is staged), followed by a
+    /// full-state checkpoint when one is due. The write is retried once;
+    /// a second failure detaches the journal (fail-open) so persistence
+    /// trouble never takes down the decision path.
+    pub fn commit(&mut self) {
         let Some(mut writer) = self.journal.take() else {
             return;
         };
-        let mut healthy = true;
-        for record in records {
-            match writer.append(record).or_else(|_| writer.append(record)) {
-                Ok(bytes) => Counters::add(&self.counters.journal_bytes, bytes),
-                Err(e) => {
-                    eprintln!(
-                        "symbio-online: journal write to {} failed twice ({e}); \
-                         detaching journal, decisions continue unpersisted",
-                        writer.path().display()
-                    );
-                    healthy = false;
-                    break;
-                }
+        let checkpoint = if writer.snapshot_due() {
+            writer.write_snapshot(self.state()).map(drop)
+        } else {
+            Ok(())
+        };
+        match checkpoint.and_then(|()| writer.commit().or_else(|_| writer.commit())) {
+            Ok(bytes) => {
+                Counters::add(&self.counters.journal_bytes, bytes);
+                self.journal = Some(writer);
             }
-        }
-        if healthy && writer.snapshot_due() {
-            let state = self.state();
-            match writer.write_snapshot(&state) {
-                Ok(bytes) => Counters::add(&self.counters.journal_bytes, bytes),
-                Err(e) => {
-                    eprintln!(
-                        "symbio-online: journal snapshot to {} failed ({e}); \
-                         detaching journal, decisions continue unpersisted",
-                        writer.path().display()
-                    );
-                    healthy = false;
-                }
-            }
-        }
-        if healthy {
-            self.journal = Some(writer);
+            Err(e) => eprintln!(
+                "symbio-online: journal write to {} failed twice ({e}); \
+                 detaching journal, decisions continue unpersisted",
+                writer.path().display()
+            ),
         }
     }
 }

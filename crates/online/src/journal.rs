@@ -4,8 +4,8 @@
 //! or hysteresis state: a restarted daemon that re-elects from scratch
 //! would thrash mappings exactly when the machine is least stable. This
 //! module gives the engine an **append-only journal** of explicit state
-//! transitions plus periodic full-state **snapshots**, so recovery is a
-//! bounded replay: seek to the last snapshot, apply the tail.
+//! transitions plus periodic full-state **snapshots** (checkpoints), so
+//! recovery is a bounded replay: find the last checkpoint, apply the tail.
 //!
 //! ## Frame format
 //!
@@ -24,6 +24,21 @@
 //! the file back to this valid prefix before appending anything new, so
 //! a recovered daemon's fresh frames are never stranded behind garbage.
 //!
+//! ## Cost per decision
+//!
+//! A checkpoint is written once at least `snapshot_every` records **and**
+//! at least as many bytes as the previous checkpoint took have been
+//! appended since it. The journal therefore grows by at most twice the
+//! transition records alone, and the tail after the last checkpoint is at
+//! most one checkpoint long, however many groups the engine holds: the
+//! cadence follows the state size instead of being tuned against it.
+//! Recovery ([`Recovery::load`], [`JournalWriter::open`]) checks every
+//! line's CRC but JSON-decodes only `Meta` lines and the frames from the
+//! last checkpoint on. [`JournalWriter::append`] only stages a frame;
+//! [`JournalWriter::commit`] writes everything staged with one
+//! `write_all`, so a caller may acknowledge a whole batch of decisions
+//! behind a single write (write-ahead-of-ack holds per commit).
+//!
 //! ## Why transitions, not snapshots of inputs
 //!
 //! Records describe what the engine *did* (`cleared`, `dropped`,
@@ -41,20 +56,62 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use symbio_machine::Mapping;
 
-/// On-disk format version stamped in the leading [`JournalRecord::Meta`].
-pub const JOURNAL_VERSION: u32 = 1;
+/// On-disk format version this build writes, stamped in a
+/// [`JournalRecord::Meta`] line. Version 2 added [`JournalRecord::Group`];
+/// version 1 journals replay unchanged.
+pub const JOURNAL_VERSION: u32 = 2;
+
+/// Lookup tables for [`crc32`], slicing-by-8: `CRC_TABLES[k][b]` is the
+/// CRC register after byte `b` and then `k` zero bytes, so eight input
+/// bytes fold into the running value with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
 
 /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the checksum
-/// guarding each journal frame. Bitwise implementation: journal append
-/// rates are epoch-scale (one per allocator invocation), not I/O-bound.
+/// guarding each journal frame. Table-driven: the daemon checksums every
+/// acknowledged decision and every checkpoint, and recovery checksums
+/// every line of the file.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -120,7 +177,8 @@ pub struct EngineState {
 pub enum JournalRecord {
     /// Leading header: format version of everything that follows.
     Meta {
-        /// Must equal [`JOURNAL_VERSION`] for this build to replay it.
+        /// Must be in `1..=`[`JOURNAL_VERSION`] for this build to replay
+        /// it.
         version: u32,
     },
     /// A valid snapshot was ingested and tallied.
@@ -171,13 +229,14 @@ pub enum JournalRecord {
     /// Periodic full-state checkpoint: replay restarts from the latest
     /// one of these, bounding recovery time and journal relevance.
     Snapshot(EngineState),
+    /// One group's state was installed from a fleet handoff: this group's
+    /// state := the record, replacing whatever was held under the name.
+    Group(GroupRecord),
 }
 
 impl EngineState {
     fn group_mut(&mut self, name: &str) -> &mut GroupRecord {
-        // Linear scan: group counts are small (one per process mix) and
-        // the vector must stay name-sorted for deterministic snapshots.
-        match self.groups.binary_search_by(|g| g.name.as_str().cmp(name)) {
+        match self.position(name) {
             Ok(i) => &mut self.groups[i],
             Err(i) => {
                 self.groups.insert(
@@ -192,6 +251,12 @@ impl EngineState {
         }
     }
 
+    /// Where `name` sits, or belongs, in the name-sorted group vector
+    /// (the order makes equal states serialize identically).
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.groups.binary_search_by(|g| g.name.as_str().cmp(name))
+    }
+
     /// Apply one journal record, mirroring exactly the mutation the live
     /// engine performed when it wrote the record. `window` caps retained
     /// votes per group (the engine's ring capacity).
@@ -199,6 +264,16 @@ impl EngineState {
         match record {
             JournalRecord::Meta { .. } => {}
             JournalRecord::Snapshot(state) => *self = state.clone(),
+            JournalRecord::Group(record) => {
+                let mut record = record.clone();
+                // The importing engine's ring kept only the newest votes.
+                let excess = record.window.len().saturating_sub(window.max(1));
+                record.window.drain(..excess);
+                match self.position(&record.name) {
+                    Ok(i) => self.groups[i] = record,
+                    Err(i) => self.groups.insert(i, record),
+                }
+            }
             JournalRecord::Epoch {
                 group,
                 seq,
@@ -270,7 +345,7 @@ impl EngineState {
 pub struct Recovery {
     /// The reconstructed engine state.
     pub state: EngineState,
-    /// Frames successfully decoded and applied.
+    /// Intact frames in the replayed prefix.
     pub frames: u64,
     /// Bytes of valid journal consumed.
     pub bytes: u64,
@@ -295,110 +370,194 @@ impl Recovery {
     /// retention bound during replay). A missing file is a fresh start,
     /// not an error; an unsupported format version is.
     pub fn load(path: &Path, window: usize) -> io::Result<Recovery> {
-        let data = match std::fs::read(path) {
-            Ok(d) => d,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Recovery::empty()),
-            Err(e) => return Err(e),
-        };
-        let mut rec = Recovery::empty();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let (line, next, terminated) = match data[pos..].iter().position(|&b| b == b'\n') {
-                Some(i) => (&data[pos..pos + i], pos + i + 1, true),
-                None => (&data[pos..], data.len(), false),
-            };
-            if line.is_empty() {
-                pos = next;
-                continue;
-            }
-            let record = match decode_frame(line) {
-                Some(r) => r,
-                None => {
-                    rec.truncated = true;
-                    break;
-                }
-            };
-            if let JournalRecord::Meta { version } = record {
-                if version != JOURNAL_VERSION {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "journal format version {version} (this build replays {JOURNAL_VERSION})"
-                        ),
-                    ));
-                }
-            }
-            rec.state.apply(&record, window);
-            rec.frames += 1;
-            rec.bytes += (line.len() + usize::from(terminated)) as u64;
-            pos = next;
+        match std::fs::read(path) {
+            Ok(data) => Ok(replay(&data, window)?.recovery),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Recovery::empty()),
+            Err(e) => Err(e),
         }
-        Ok(rec)
     }
 }
 
-/// Encode one record as a checksummed journal line (with trailing `\n`).
-pub fn encode_frame(record: &JournalRecord) -> io::Result<String> {
+/// Append `record` to `buf` as one checksummed journal line (with its
+/// trailing `\n`); returns the line's byte length.
+fn push_frame(buf: &mut Vec<u8>, record: &JournalRecord) -> io::Result<u64> {
     let json = serde_json::to_string(record)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(format!("{:08x} {json}\n", crc32(json.as_bytes())))
+    let start = buf.len();
+    write!(buf, "{:08x} ", crc32(json.as_bytes()))?;
+    buf.extend_from_slice(json.as_bytes());
+    buf.push(b'\n');
+    Ok((buf.len() - start) as u64)
 }
 
-/// Decode one journal line (no trailing `\n`). `None` on any fault:
-/// bad UTF-8, malformed header, checksum mismatch, unparsable JSON.
-pub fn decode_frame(line: &[u8]) -> Option<JournalRecord> {
+/// The JSON payload of one journal line (no trailing `\n`). `None` on
+/// bad UTF-8, a malformed header or a checksum mismatch.
+fn checked_json(line: &[u8]) -> Option<&str> {
     let text = std::str::from_utf8(line).ok()?;
     let (crc_hex, json) = text.split_once(' ')?;
     if crc_hex.len() != 8 {
         return None;
     }
     let want = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc32(json.as_bytes()) != want {
-        return None;
-    }
-    serde_json::from_str(json).ok()
+    (crc32(json.as_bytes()) == want).then_some(json)
 }
 
-/// Length of the valid frame prefix of raw journal bytes, and whether
-/// its final frame is missing its terminating newline. Everything past
-/// the prefix is unreachable by replay and safe to truncate.
-fn valid_prefix(data: &[u8]) -> (usize, bool) {
+/// Decode one journal line (no trailing `\n`). `None` on any fault:
+/// bad UTF-8, malformed header, checksum mismatch, unparsable JSON.
+pub fn decode_frame(line: &[u8]) -> Option<JournalRecord> {
+    serde_json::from_str(checked_json(line)?).ok()
+}
+
+/// The lines of `data` as `(offset, line without its newline, whether the
+/// newline was there)`.
+fn lines(data: &[u8]) -> impl Iterator<Item = (usize, &[u8], bool)> {
     let mut pos = 0usize;
-    let mut needs_newline = false;
-    while pos < data.len() {
-        let (line, next, terminated) = match data[pos..].iter().position(|&b| b == b'\n') {
-            Some(i) => (&data[pos..pos + i], pos + i + 1, true),
-            None => (&data[pos..], data.len(), false),
-        };
-        if line.is_empty() {
-            if !terminated {
-                break;
+    std::iter::from_fn(move || {
+        let start = pos;
+        let rest = data.get(start..).filter(|rest| !rest.is_empty())?;
+        Some(match rest.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                pos = start + i + 1;
+                (start, &rest[..i], true)
             }
-            pos = next;
-            continue;
-        }
-        if decode_frame(line).is_none() {
-            break;
-        }
-        needs_newline = !terminated;
-        pos = next;
-    }
-    (pos, needs_newline)
+            None => {
+                pos = data.len();
+                (start, rest, false)
+            }
+        })
+    })
 }
 
-/// Append-only journal writer with periodic snapshot scheduling.
+/// What one pass over a journal's bytes establishes: the replayed state,
+/// and where and how a writer resumes appending.
+struct Replay {
+    recovery: Recovery,
+    /// Length of the prefix replay reached. Everything past it is
+    /// unreachable by any later replay and safe to truncate.
+    valid: usize,
+    /// The prefix's final frame is missing its terminating newline.
+    needs_newline: bool,
+    /// Version of the last `Meta` line in the prefix.
+    version: Option<u32>,
+    /// Byte length of the last checkpoint line in the prefix (0: none).
+    checkpoint_bytes: u64,
+}
+
+/// Replay raw journal bytes, stopping at the first frame that fails its
+/// checksum or does not decode. Every line is checksummed, but only
+/// `Meta` lines and the frames from the last checkpoint on are
+/// JSON-decoded: a checkpoint replaces the state, so what precedes it
+/// cannot change the outcome.
+fn replay(data: &[u8], window: usize) -> io::Result<Replay> {
+    let mut end = data.len();
+    let mut truncated = false;
+    loop {
+        // Checksum pass: the valid prefix and its last checkpoint line.
+        let (mut valid, mut needs_newline, mut version) = (0usize, false, None);
+        let (mut frames, mut bytes) = (0u64, 0u64);
+        // Where decoding starts, the frame totals up to there, and the
+        // checkpoint line's length.
+        let (mut tail, mut skipped, mut checkpoint_bytes) = (0usize, (0u64, 0u64), 0u64);
+        for (at, line, terminated) in lines(&data[..end]) {
+            if line.is_empty() {
+                valid = at + 1;
+                continue;
+            }
+            let Some(json) = checked_json(line) else {
+                truncated = true;
+                break;
+            };
+            if json.starts_with("{\"Meta\"") {
+                let Ok(JournalRecord::Meta { version: v }) = serde_json::from_str(json) else {
+                    truncated = true;
+                    break;
+                };
+                if !(1..=JOURNAL_VERSION).contains(&v) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "journal format version {v} (this build replays 1..={JOURNAL_VERSION})"
+                        ),
+                    ));
+                }
+                version = Some(v);
+            } else if json.starts_with("{\"Snapshot\"") {
+                tail = at;
+                skipped = (frames, bytes);
+                checkpoint_bytes = line.len() as u64 + 1;
+            }
+            frames += 1;
+            bytes += (line.len() + usize::from(terminated)) as u64;
+            valid = at + line.len() + usize::from(terminated);
+            needs_newline = !terminated;
+        }
+
+        // Decode pass, from the last checkpoint (or the start) on.
+        let mut state = EngineState::default();
+        (frames, bytes) = skipped;
+        let mut undecodable = None;
+        for (at, line, terminated) in lines(&data[tail..valid]) {
+            if line.is_empty() {
+                continue;
+            }
+            let Some(record) = decode_frame(line) else {
+                undecodable = Some(tail + at);
+                break;
+            };
+            state.apply(&record, window);
+            frames += 1;
+            bytes += (line.len() + usize::from(terminated)) as u64;
+        }
+        match undecodable {
+            // A frame with a good checksum that is not a record: replay
+            // ends there, exactly as at a torn frame. (Never written by
+            // this module; re-scanning the shorter prefix keeps the
+            // checkpoint search honest if the frame was the checkpoint.)
+            Some(at) => {
+                end = at;
+                truncated = true;
+            }
+            None => {
+                return Ok(Replay {
+                    recovery: Recovery {
+                        state,
+                        frames,
+                        bytes,
+                        truncated,
+                    },
+                    valid,
+                    needs_newline,
+                    version,
+                    checkpoint_bytes,
+                })
+            }
+        }
+    }
+}
+
+/// Append-only journal writer with group commit and checkpoint
+/// scheduling.
 ///
-/// Every append is flushed before the engine acknowledges the epoch, so
-/// an acknowledged decision is always recoverable (the OS page cache
-/// survives a SIGKILL of the daemon; only a kernel crash can lose it,
-/// which is outside this failure model).
+/// [`JournalWriter::append`] stages frames in memory and
+/// [`JournalWriter::commit`] writes them; the engine commits before it
+/// acknowledges the decisions the frames record, so an acknowledged
+/// decision is always recoverable (the OS page cache survives a SIGKILL
+/// of the daemon; only a kernel crash can lose it, which is outside this
+/// failure model).
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
     path: PathBuf,
     snapshot_every: u64,
-    /// Records appended since the last snapshot.
+    /// Records appended since the last checkpoint.
     since_snapshot: u64,
+    /// Bytes appended since the last checkpoint.
+    bytes_since_snapshot: u64,
+    /// Byte length of the last checkpoint frame (0 until one is known).
+    checkpoint_bytes: u64,
+    /// Frames staged by `append` that `commit` has not written yet. The
+    /// buffer is reused, so steady-state appends allocate nothing here.
+    staged: Vec<u8>,
     bytes: u64,
 }
 
@@ -407,10 +566,27 @@ impl JournalWriter {
     /// corrupt tail left by a crash is truncated away (replay could
     /// never reach past it, so frames appended after it would be
     /// stranded), a valid-but-unterminated final frame gets its missing
-    /// newline, and a fresh file is stamped with a
-    /// [`JournalRecord::Meta`] header. A full-state snapshot is
-    /// scheduled every `snapshot_every` records (min 1).
+    /// newline, and a file that does not already say so is stamped with
+    /// a [`JournalRecord::Meta`] line of this build's version (a fresh
+    /// file as its header; an older journal so that an older build
+    /// refuses it instead of truncating records it cannot decode).
+    ///
+    /// A checkpoint is scheduled once at least `snapshot_every` records
+    /// (min 1) and at least as many bytes as the previous checkpoint took
+    /// (the file's last one, after a reopen) have been appended since it.
     pub fn open(path: impl Into<PathBuf>, snapshot_every: u64) -> io::Result<Self> {
+        // The replayed state is dropped, so its retention bound is moot.
+        Ok(Self::recover(path, snapshot_every, 1)?.0)
+    }
+
+    /// [`JournalWriter::open`] and [`Recovery::load`] in one read of the
+    /// file: the writer, and what the journal replayed to (`window` is
+    /// the engine's ring capacity).
+    pub fn recover(
+        path: impl Into<PathBuf>,
+        snapshot_every: u64,
+        window: usize,
+    ) -> io::Result<(Self, Recovery)> {
         let path = path.into();
         let mut file = OpenOptions::new()
             .create(true)
@@ -420,27 +596,31 @@ impl JournalWriter {
         let mut data = Vec::new();
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut data)?;
-        let (valid, needs_newline) = valid_prefix(&data);
-        if valid < data.len() {
-            file.set_len(valid as u64)?;
+        let replay = replay(&data, window)?;
+        if replay.valid < data.len() {
+            file.set_len(replay.valid as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
-        if needs_newline {
-            file.write_all(b"\n")?;
-        }
         let mut writer = JournalWriter {
             file,
             path,
             snapshot_every: snapshot_every.max(1),
             since_snapshot: 0,
+            bytes_since_snapshot: 0,
+            checkpoint_bytes: replay.checkpoint_bytes,
+            staged: Vec::new(),
             bytes: 0,
         };
-        if valid == 0 {
+        if replay.needs_newline {
+            writer.staged.push(b'\n');
+        }
+        if replay.version != Some(JOURNAL_VERSION) {
             writer.append(&JournalRecord::Meta {
                 version: JOURNAL_VERSION,
             })?;
         }
-        Ok(writer)
+        writer.commit()?;
+        Ok((writer, replay.recovery))
     }
 
     /// Path the journal writes to.
@@ -448,33 +628,52 @@ impl JournalWriter {
         &self.path
     }
 
-    /// Bytes appended by this writer (not the file's total size).
+    /// Bytes written by this writer (not the file's total size).
     pub fn bytes_written(&self) -> u64 {
         self.bytes
     }
 
-    /// Append one checksummed frame and flush it. Returns the frame's
-    /// byte length.
+    /// Stage one checksummed frame for the next [`JournalWriter::commit`].
+    /// Returns the frame's byte length.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<u64> {
-        symbio::faultpoint!("journal_write");
-        let frame = encode_frame(record)?;
-        self.file.write_all(frame.as_bytes())?;
-        self.file.flush()?;
-        self.bytes += frame.len() as u64;
+        let n = push_frame(&mut self.staged, record)?;
         self.since_snapshot += 1;
-        Ok(frame.len() as u64)
+        self.bytes_since_snapshot += n;
+        Ok(n)
     }
 
-    /// Whether enough records accumulated that the engine should append
-    /// a full-state snapshot now.
+    /// Write every staged frame with one `write_all` and return the byte
+    /// count (0, and no write, when nothing is staged). On failure the
+    /// frames stay staged, so the call can be retried.
+    pub fn commit(&mut self) -> io::Result<u64> {
+        if self.staged.is_empty() {
+            return Ok(0);
+        }
+        symbio::faultpoint!("journal_write");
+        self.file.write_all(&self.staged)?;
+        let n = self.staged.len() as u64;
+        self.staged.clear();
+        self.bytes += n;
+        Ok(n)
+    }
+
+    /// Whether the engine should append a full-state checkpoint now: at
+    /// least `snapshot_every` records and at least one checkpoint's worth
+    /// of bytes since the last one. The byte rule bounds both the
+    /// journal's growth (≤ 2× the transition records) and the replay
+    /// tail (≤ 1× the state) at any group count.
     pub fn snapshot_due(&self) -> bool {
         self.since_snapshot >= self.snapshot_every
+            && self.bytes_since_snapshot >= self.checkpoint_bytes
     }
 
-    /// Append a [`JournalRecord::Snapshot`] and reset the schedule.
-    pub fn write_snapshot(&mut self, state: &EngineState) -> io::Result<u64> {
-        let n = self.append(&JournalRecord::Snapshot(state.clone()))?;
+    /// Stage a [`JournalRecord::Snapshot`] of `state` and reset the
+    /// schedule.
+    pub fn write_snapshot(&mut self, state: EngineState) -> io::Result<u64> {
+        let n = self.append(&JournalRecord::Snapshot(state))?;
         self.since_snapshot = 0;
+        self.bytes_since_snapshot = 0;
+        self.checkpoint_bytes = n;
         Ok(n)
     }
 }
@@ -487,6 +686,12 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("symbio-journal-{name}-{}", std::process::id()));
         p
+    }
+
+    fn encode_frame(record: &JournalRecord) -> String {
+        let mut buf = Vec::new();
+        push_frame(&mut buf, record).unwrap();
+        String::from_utf8(buf).unwrap()
     }
 
     fn epoch(group: &str, seq: u64, cores: Vec<usize>, committed: bool) -> JournalRecord {
@@ -512,7 +717,7 @@ mod tests {
     #[test]
     fn frames_roundtrip_and_reject_corruption() {
         let rec = epoch("mix", 3, vec![0, 1, 0, 1], true);
-        let frame = encode_frame(&rec).unwrap();
+        let frame = encode_frame(&rec);
         assert!(frame.ends_with('\n'));
         let line = frame.trim_end_matches('\n').as_bytes();
         assert_eq!(decode_frame(line), Some(rec));
@@ -631,11 +836,12 @@ mod tests {
             let mut w = JournalWriter::open(&path, 1000).unwrap();
             w.append(&epoch("mix", 1, vec![0, 1, 0, 1], true)).unwrap();
             w.append(&epoch("mix", 2, vec![0, 1, 0, 1], false)).unwrap();
+            w.commit().unwrap();
         }
         // Simulate a crash mid-append: half a frame, no newline.
         let good = std::fs::read(&path).unwrap();
         let mut torn = good.clone();
-        let tail = encode_frame(&epoch("mix", 3, vec![0, 1, 0, 1], false)).unwrap();
+        let tail = encode_frame(&epoch("mix", 3, vec![0, 1, 0, 1], false));
         torn.extend_from_slice(&tail.as_bytes()[..tail.len() / 2]);
         std::fs::write(&path, &torn).unwrap();
         let rec = Recovery::load(&path, 8).unwrap();
@@ -648,6 +854,7 @@ mod tests {
         {
             let mut w = JournalWriter::open(&path, 1000).unwrap();
             w.append(&epoch("mix", 3, vec![0, 1, 0, 1], false)).unwrap();
+            w.commit().unwrap();
         }
         let rec = Recovery::load(&path, 8).unwrap();
         assert!(!rec.truncated, "tail was repaired on reopen");
@@ -661,6 +868,7 @@ mod tests {
         {
             let mut w = JournalWriter::open(&path, 1000).unwrap();
             w.append(&epoch("mix", 4, vec![0, 1, 0, 1], false)).unwrap();
+            w.commit().unwrap();
         }
         let rec = Recovery::load(&path, 8).unwrap();
         assert!(!rec.truncated);
@@ -684,12 +892,60 @@ mod tests {
         w.append(&epoch("mix", 1, vec![0, 1], false)).unwrap();
         w.append(&epoch("mix", 2, vec![0, 1], false)).unwrap();
         assert!(w.snapshot_due());
-        w.write_snapshot(&EngineState::default()).unwrap();
+        w.write_snapshot(EngineState::default()).unwrap();
         assert!(!w.snapshot_due());
+        w.commit().unwrap();
         assert!(w.bytes_written() > 0);
         let rec = Recovery::load(&path, 8).unwrap();
         assert!(!rec.truncated);
         assert_eq!(rec.frames, 4);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoints_wait_for_a_checkpoints_worth_of_bytes() {
+        let path = tmp("sized");
+        let _ = std::fs::remove_file(&path);
+        // A state far larger than `snapshot_every` transition records.
+        let big = EngineState {
+            groups: (0..64)
+                .map(|i| GroupRecord {
+                    name: format!("group-{i:03}"),
+                    current: Some(Mapping::new(vec![0, 1, 0, 1])),
+                    ..GroupRecord::default()
+                })
+                .collect(),
+        };
+        let mut w = JournalWriter::open(&path, 2).unwrap();
+        w.append(&epoch("mix", 1, vec![0, 1], false)).unwrap();
+        assert!(
+            w.snapshot_due(),
+            "the first checkpoint goes by record count"
+        );
+        let checkpoint = w.write_snapshot(big).unwrap();
+        let mut appended = 0;
+        let mut records = 0;
+        while !w.snapshot_due() {
+            appended += w
+                .append(&epoch("mix", 2 + records, vec![0, 1], false))
+                .unwrap();
+            records += 1;
+        }
+        assert!(records > 2, "the record count alone would have fired");
+        assert!(
+            appended >= checkpoint,
+            "{appended} B since a {checkpoint} B checkpoint"
+        );
+        w.commit().unwrap();
+        drop(w);
+        // A reopened writer takes the size from the file's last checkpoint.
+        let mut w = JournalWriter::open(&path, 2).unwrap();
+        w.append(&epoch("mix", 100, vec![0, 1], false)).unwrap();
+        w.append(&epoch("mix", 101, vec![0, 1], false)).unwrap();
+        assert!(
+            !w.snapshot_due(),
+            "two records are not a checkpoint's worth"
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -283,3 +283,38 @@ fn exported_group_resumes_bit_identically_on_the_importing_engine() {
     assert!(!src.evict_group("g"));
     assert!(src.export_group("g").is_none());
 }
+
+#[test]
+fn imported_group_survives_a_crash_before_the_next_checkpoint() {
+    let path = journal_path("import");
+    let _ = std::fs::remove_file(&path);
+    let mut src = engine(OnlineConfig::default());
+    feed(&mut src, &mixed_trace());
+    let record = src.export_group("g").expect("known group");
+
+    // The new owner already serves a stream of its own, and holds stale
+    // state under the imported name that the import must replace.
+    let mut dst =
+        engine(OnlineConfig::default()).with_journal(JournalWriter::open(&path, 256).unwrap());
+    for seq in 0..3 {
+        dst.ingest(&synth_snap("h", seq, OCC_B, PAIR_02_13))
+            .unwrap();
+        dst.ingest(&synth_snap("g", seq, OCC_B, PAIR_02_13))
+            .unwrap();
+    }
+    dst.import_group(&record);
+    let live = dst.state();
+    // Crash: far fewer than 256 records, so no checkpoint holds the
+    // import — only its own journal record can.
+    drop(dst);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(!text.contains("\"Snapshot\""));
+
+    let mut revived = engine(OnlineConfig::default());
+    let recovery = revived.recover_from(&path).unwrap();
+    assert!(!recovery.truncated);
+    assert_eq!(recovery.state, live, "replay must include the import");
+    assert_eq!(revived.state(), live);
+    assert_eq!(revived.last_seq("g"), src.last_seq("g"));
+    assert_eq!(revived.epochs("g"), src.epochs("g"));
+}

@@ -14,12 +14,18 @@
 //! hot path.
 //!
 //! With `--journal`, every engine state transition is appended
-//! (checksummed, flushed) to `PATH` before the decision is acknowledged,
-//! and a restarted daemon replays the journal first — windows, committed
-//! mappings and quarantine states resume exactly where the killed
-//! process stopped (`symbiod recovered …` is printed before the listen
-//! line). `--snapshot-every` bounds replay length by embedding a
-//! full-state snapshot in the journal every N records (default 256).
+//! (checksummed) to `PATH` before the decision is acknowledged — one
+//! write per run of ingests a shard finds queued, so a batch is
+//! acknowledged behind a single group commit — and a restarted daemon
+//! replays the journal first: windows, committed mappings and quarantine
+//! states resume exactly where the killed process stopped (`symbiod
+//! recovered …` is printed before the listen line). The journal embeds a
+//! full-state checkpoint whenever it has grown by the size of the
+//! previous one, which bounds replay to the last checkpoint plus at most
+//! as many bytes again and the file to twice its transition records, at
+//! any group count. `--snapshot-every N` is the minimum number of records
+//! between two checkpoints (default 256); it matters only while the
+//! state is smaller than N records.
 //!
 //! `--shards N` runs N engine shards, each on its own thread with its
 //! own journal segment (`PATH.shard-K` when `--journal` is given;
@@ -43,7 +49,7 @@ use symbio_allocator::{
     AllocationPolicy, DefaultPolicy, InterferenceGraphPolicy, WeightSortPolicy,
     WeightedInterferenceGraphPolicy,
 };
-use symbio_online::{JournalWriter, OnlineConfig, OnlineEngine};
+use symbio_online::{OnlineConfig, OnlineEngine};
 use symbio_serve::{Encoding, ServeConfig, SymbiodBuilder};
 
 /// An allocation policy by CLI name.
@@ -156,7 +162,7 @@ fn main() -> symbio::Result<()> {
             } else {
                 format!("{path}.shard-{k}")
             };
-            let recovery = engine.recover_from(Path::new(&segment))?;
+            let recovery = engine.recover_journaled(Path::new(&segment), snapshot_every)?;
             if recovery.frames > 0 {
                 println!(
                     "symbiod recovered {} frames ({} bytes{}) from {segment}",
@@ -169,7 +175,6 @@ fn main() -> symbio::Result<()> {
                     }
                 );
             }
-            engine = engine.with_journal(JournalWriter::open(&segment, snapshot_every)?);
         }
         engines.push(engine);
     }

@@ -101,6 +101,15 @@ impl<T> Producer<T> {
 }
 
 impl<T> Consumer<T> {
+    /// Items queued right now. The producer may add more at any moment,
+    /// never fewer: only this end pops.
+    pub fn len(&self) -> usize {
+        let ring = &*self.ring;
+        let head = ring.head.load(Ordering::Relaxed);
+        let tail = ring.tail.load(Ordering::Acquire);
+        (tail + ring.slots.len() - head) % ring.slots.len()
+    }
+
     /// Dequeue the oldest item, if any.
     pub fn pop(&mut self) -> Option<T> {
         let ring = &*self.ring;
@@ -127,12 +136,14 @@ mod tests {
         tx.push(2).unwrap();
         tx.push(3).unwrap();
         assert_eq!(tx.push(4), Err(4));
+        assert_eq!(rx.len(), 3);
         assert_eq!(rx.pop(), Some(1));
         tx.push(4).unwrap();
         assert_eq!(rx.pop(), Some(2));
         assert_eq!(rx.pop(), Some(3));
         assert_eq!(rx.pop(), Some(4));
         assert_eq!(rx.pop(), None);
+        assert_eq!(rx.len(), 0);
     }
 
     #[test]
