@@ -1,32 +1,49 @@
 //! `fleetd`: the coordinator process.
 //!
 //! Upstream it speaks the same versioned envelope as `symbiod` (clients
-//! reuse [`WireClient`] unchanged) plus the three fleet verbs
-//! (`Route`/`Assign`/`FleetMetrics`); downstream it proxies
+//! reuse [`symbio_serve::WireClient`] unchanged) plus the three fleet
+//! verbs (`Route`/`Assign`/`FleetMetrics`); downstream it proxies
 //! `Ingest`/`IngestBatch`/`Map`/`ExportGroup`/`WhatIf`/`Explain` to the
 //! rendezvous owner of each group over pooled binary connections.
 //! `Subscribe` is answered with a `backend_verb` error: the decision
 //! stream is served by the owning backend, not relayed.
 //!
-//! Request path for an ingest:
+//! Request path for an ingest — a lone `Ingest` is a batch of one, there
+//! is no second path (`ingest`, DESIGN.md §13 "Batch fan-out"):
 //!
-//! 1. **admission** — resolve the tenant from the group-name prefix and
-//!    run quota / token-bucket / shed checks ([`crate::tenant`]);
-//! 2. **resolution** — look the group up in the compact routing table
-//!    ([`crate::routing`]); a group flagged `moved` by the last
-//!    rebalance answers `route_moved` exactly once (telling the client
-//!    to re-resolve), unflagged groups proxy straight through;
-//! 3. **proxy & retry** — exchange with the owning backend. A transport
-//!    failure is first a *flap*: the request retries the same owner and
-//!    the failure is only a strike in the [`crate::membership`] flap
-//!    detector. A backend that fails the detector's threshold within
-//!    its window is **evicted** (membership change + rebalance, exactly
-//!    as an explicit `Assign` remove would, journaled when a membership
-//!    journal is configured) and the request retries against the
-//!    post-rebalance owner — so a killed backend costs in-flight
-//!    requests a few internal retries, not an error;
-//! 4. **backpressure** — degraded/busy replies from backends raise the
-//!    deterministic shed pressure; sustained healthy replies lower it.
+//! 1. **admission**, per item — resolve the tenant from the group-name
+//!    prefix and run quota / token-bucket / shed checks
+//!    ([`crate::tenant`]); a refused item is answered here and never
+//!    reaches a backend;
+//! 2. **resolution**, per item — look the group up in the compact
+//!    routing table ([`crate::routing`]); a group flagged `moved` by the
+//!    last rebalance answers `route_moved` exactly once (telling the
+//!    client to re-resolve), every other item is routed to its current
+//!    rendezvous owner, which also makes a new group known before the
+//!    next item of the batch is admitted;
+//! 3. **fan-out** — the routed items are grouped by owner in input order
+//!    ([`partition`]), one `IngestBatch` frame per owner (split at the
+//!    `batch_max` the backend's `Welcome` advertised) is written to
+//!    every owner before any reply is read, and each backend's `Batch`
+//!    is scattered back into the caller's slots ([`scatter`]), so the
+//!    reply lines up with the request exactly as symbiod's would;
+//! 4. **retry** — a failed frame exchange is first a *flap*: one strike
+//!    for that backend in the [`crate::membership`] flap detector,
+//!    however many items the frame carried, and its unanswered items go
+//!    round again. A backend that reaches the detector's threshold
+//!    within its window is **evicted** (membership change + rebalance,
+//!    exactly as an explicit `Assign` remove would, journaled when a
+//!    membership journal is configured) and its items retry against
+//!    their post-rebalance owners — so a killed backend costs in-flight
+//!    requests a few internal retries, not an error. Items the failing
+//!    backend had applied before its reply was lost come back as
+//!    `Duplicate` decisions (the engine's per-group seq watermark);
+//! 5. **backpressure** — degraded/busy items from backends raise the
+//!    deterministic shed pressure; sustained healthy ones lower it.
+//!
+//! The reads (`Map`, `ExportGroup`, `WhatIf`, `Explain`) skip admission
+//! and go to the one owner of their group (`proxy`), sharing steps 2
+//! and 4 function by function (`resolve`, `backend_failed`).
 //!
 //! Membership changes are a first-class lifecycle (DESIGN.md §14): a
 //! planned drain or join (`Assign`) *warm-hands-off* every moved group —
@@ -41,10 +58,12 @@
 //! to a byte-identical routing view.
 //!
 //! Concurrency: one OS thread per upstream connection, all sharing the
-//! coordinator state behind a single mutex. The proxy hop dominates
-//! request latency and the fleet front-end serves few, fat connections
-//! (loadgen, operators), so a finer lock structure would buy little —
-//! the measured `BENCH_fleet.json` throughput is the judge.
+//! coordinator state behind a single mutex, held across a request's
+//! whole fan-out. The benchmark's `fleet_proxy` workload (BENCHMARK.json)
+//! is the judge of that choice: its traced run put the cost in per-frame
+//! syscalls and wake-ups on the daemons' core, not in lock hold time or
+//! the 7–14 ns routing lookups, so the fan-out cut frames and the lock
+//! structure stayed as it was.
 
 use crate::assign::Membership;
 use crate::backend::BackendPool;
@@ -60,6 +79,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use symbio::obs::Counters;
+use symbio::prelude::SigSnapshot;
 use symbio::Error;
 use symbio_serve::proto::{
     negotiate, Encoding, FleetSnapshot, FleetView, Request, Response, DEFAULT_BATCH_MAX,
@@ -280,10 +300,14 @@ impl Fleetd {
     /// one thread each, then drain the backends and return.
     pub fn run(self) -> symbio::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let mut handles = Vec::new();
+        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.draining.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    // Reap the connections that ended since the last
+                    // accept; their exit status is ignored at shutdown
+                    // too.
+                    handles.retain(|h| !h.is_finished());
                     let shared = Arc::clone(&self.shared);
                     handles.push(std::thread::spawn(move || serve_conn(stream, &shared)));
                 }
@@ -382,8 +406,12 @@ fn dispatch(request: Request, encoding: Encoding, shared: &Shared) -> (Response,
             encoding,
             false,
         ),
-        Request::Ingest(_)
-        | Request::Map { .. }
+        Request::Ingest(snapshot) => {
+            // A batch of one through the same path.
+            let reply = ingest(vec![snapshot], shared).pop();
+            (reply.expect("one reply per snapshot"), encoding, false)
+        }
+        Request::Map { .. }
         | Request::ExportGroup { .. }
         | Request::WhatIf(_)
         | Request::Explain { .. } => (proxy(request, shared), encoding, false),
@@ -429,35 +457,27 @@ fn dispatch(request: Request, encoding: Encoding, shared: &Shared) -> (Response,
                     false,
                 );
             }
-            // Groups in one batch may live on different backends, so the
-            // batch fans out item by item; the reply still lines up with
-            // the snapshots in order, exactly as symbiod's would.
             Counters::add(&shared.counters.serve_batches, 1);
-            let items = batch
-                .into_iter()
-                .map(|snap| proxy(Request::Ingest(snap), shared))
-                .collect();
-            (Response::Batch(items), encoding, false)
+            (Response::Batch(ingest(batch, shared)), encoding, false)
         }
         Request::Shutdown => (shutdown_fleet(shared), encoding, true),
     }
 }
 
-/// Resolve a group's owner, routing it (and interning its tenant) on
-/// first sight. Also the explicit `Route` verb's handler.
-fn route(group: &str, shared: &Shared) -> Response {
-    let mut inner = shared.lock();
+/// The reply for a request no backend can take.
+fn no_backends(shared: &Shared) -> Response {
+    Counters::add(&shared.counters.serve_errors, 1);
+    Response::protocol("no_backends", "the fleet membership is empty")
+}
+
+/// Route `group` to its current rendezvous owner — interning its name
+/// and clearing any pending moved flag, since whoever asked now holds
+/// the fresh owner. `None` when the membership is empty.
+fn resolve(inner: &mut Inner, shared: &Shared, group: &str) -> Option<usize> {
     let key = RoutingTable::key_of(group);
-    let Some(owner) = inner.membership.owner_index(key) else {
-        Counters::add(&shared.counters.serve_errors, 1);
-        return Response::protocol("no_backends", "the fleet membership is empty");
-    };
+    let owner = inner.membership.owner_index(key)?;
     let tenant = inner.tenants.index_of(tenant_of(group));
-    let epoch = inner.membership.epoch();
-    let backend = inner.membership.backends()[owner].addr.clone();
     inner.intern_name(key, group);
-    // An explicit Route resolution also clears a pending moved flag —
-    // the client now holds the fresh owner.
     inner.routing.upsert(
         key,
         RouteEntry {
@@ -467,10 +487,21 @@ fn route(group: &str, shared: &Shared) -> Response {
         },
     );
     Counters::add(&shared.counters.fleet_routes, 1);
+    Some(owner)
+}
+
+/// The explicit `Route` verb: resolve a group's owner, routing it (and
+/// interning its tenant) on first sight.
+fn route(group: &str, shared: &Shared) -> Response {
+    let mut guard = shared.lock();
+    let inner = &mut *guard;
+    let Some(owner) = resolve(inner, shared, group) else {
+        return no_backends(shared);
+    };
     Response::Route {
         group: group.to_string(),
-        backend,
-        epoch,
+        backend: inner.membership.backends()[owner].addr.clone(),
+        epoch: inner.membership.epoch(),
     }
 }
 
@@ -622,135 +653,330 @@ fn shutdown_fleet(shared: &Shared) -> Response {
     Response::Ok
 }
 
-/// The group a proxyable request operates on.
+/// The group a proxied read operates on.
 fn group_of(request: &Request) -> &str {
     match request {
-        Request::Ingest(snap) => &snap.group,
         Request::Map { group } => group,
         Request::ExportGroup { group } => group,
         Request::WhatIf(snap) => &snap.group,
         Request::Explain { group } => group,
-        _ => unreachable!("only ingest/map/export/what-if/explain are proxied"),
+        _ => unreachable!("only map/export/what-if/explain are proxied whole"),
     }
 }
 
-/// Admission + resolution + proxy-with-retry for one `Ingest` or `Map`.
+/// A group the last rebalance moved answers `route_moved` exactly once
+/// so the client exercises its re-resolve path; the flag clears and the
+/// retry proxies.
+fn take_moved(inner: &mut Inner, group: &str) -> Option<Response> {
+    let key = RoutingTable::key_of(group);
+    if !inner.routing.get(key)?.moved {
+        return None;
+    }
+    inner.routing.clear_moved(key);
+    let owner = owner_addr(&inner.membership, key).unwrap_or_default();
+    Some(Response::route_moved(
+        group,
+        &owner,
+        inner.membership.epoch(),
+    ))
+}
+
+/// Resolution + proxy-with-retry for one read (`Map`, `ExportGroup`,
+/// `WhatIf`, `Explain`): reads spend neither quota nor tokens, so there
+/// is no admission step. The loop terminates for the reason
+/// [`backend_failed`] gives.
 fn proxy(request: Request, shared: &Shared) -> Response {
-    let mut inner = shared.lock();
-    let group = group_of(&request).to_string();
-    let key = RoutingTable::key_of(&group);
-    let ingest = matches!(request, Request::Ingest(_));
-
-    // 1. Admission (ingest only: reads don't spend quota or tokens).
-    let known = inner.routing.get(key);
-    let tenant = inner.tenants.index_of(tenant_of(&group));
-    if ingest {
-        let now = shared.now();
-        match inner.tenants.admit(tenant, known.is_none(), now) {
-            Admission::Admit => {}
-            Admission::QuotaExceeded => {
-                Counters::add(&shared.counters.tenant_sheds, 1);
-                return Response::Error {
-                    kind: "busy".to_string(),
-                    code: "tenant_quota".to_string(),
-                    message: format!(
-                        "tenant {} is over its distinct-group quota",
-                        tenant_of(&group)
-                    ),
-                    retryable: false,
-                };
-            }
-            Admission::RateLimited | Admission::Shed => {
-                Counters::add(&shared.counters.tenant_sheds, 1);
-                return Response::tenant_shed(tenant_of(&group));
-            }
-        }
+    let mut guard = shared.lock();
+    let inner = &mut *guard;
+    let group = group_of(&request);
+    if let Some(reply) = take_moved(inner, group) {
+        return reply;
     }
-
-    // 2. Resolution. A group the last rebalance moved answers
-    //    `route_moved` exactly once so the client exercises its
-    //    re-resolve path; the flag clears and the retry proxies.
-    if let Some(entry) = known {
-        if entry.moved {
-            inner.routing.clear_moved(key);
-            let epoch = inner.membership.epoch();
-            let owner = inner
-                .membership
-                .owner_index(key)
-                .map(|i| inner.membership.backends()[i].addr.clone())
-                .unwrap_or_default();
-            return Response::route_moved(&group, &owner, epoch);
-        }
-    }
-
-    // 3. Proxy, flap-guarding eviction and retrying. The loop
-    //    terminates: every failed exchange is a strike, a backend
-    //    absorbs at most `flap_threshold` strikes before it is evicted
-    //    (shrinking the membership), and the last backend's trip
-    //    returns instead of evicting.
     loop {
-        let Some(owner) = inner.membership.owner_index(key) else {
-            Counters::add(&shared.counters.serve_errors, 1);
-            return Response::protocol("no_backends", "the fleet membership is empty");
+        let Some(owner) = resolve(inner, shared, group) else {
+            return no_backends(shared);
         };
-        inner.intern_name(key, &group);
-        inner.routing.upsert(
-            key,
-            RouteEntry {
-                owner: owner as u16,
-                tenant,
-                moved: false,
-            },
-        );
-        Counters::add(&shared.counters.fleet_routes, 1);
         let addr = inner.membership.backends()[owner].addr.clone();
-        let attempt = proxy_gate().and_then(|()| inner.pool.exchange(&addr, &request));
-        match attempt {
+        match proxy_gate().and_then(|()| inner.pool.exchange(&addr, &request)) {
             Ok(reply) => {
                 inner.flaps.clear(&addr);
-                note_backpressure(&mut inner, shared, &reply);
+                note_backpressure(inner, shared, &reply);
                 return reply;
             }
             Err(_) => {
-                Counters::add(&shared.counters.fleet_backend_errors, 1);
-                // A broken stream can't be trusted for framing; redial
-                // on the retry either way.
-                inner.pool.forget(&addr);
-                if !inner.flaps.strike(&addr, shared.now()) {
-                    // A flap until proven dead: retry the same owner
-                    // rather than evicting on a single failed probe.
-                    Counters::add(&shared.counters.fleet_flaps_suppressed, 1);
-                    continue;
+                if !backend_failed(inner, shared, &addr) {
+                    return backend_unavailable(shared, &addr);
                 }
-                if inner.membership.len() <= 1 {
-                    // Evicting the last backend would leave nothing to
-                    // serve from; surface a retryable fault instead.
-                    Counters::add(&shared.counters.serve_errors, 1);
-                    return Response::Error {
-                        kind: "busy".to_string(),
-                        code: "backend_unavailable".to_string(),
-                        message: format!(
-                            "backend {addr} is unreachable and is the last fleet member"
-                        ),
-                        retryable: true,
-                    };
-                }
-                // Proven dead: the same membership change an operator's
-                // `Assign { remove }` would make — journaled as an
-                // eviction — then retry on the new owner. The dead
-                // owner's state is unreachable, so every relocated
-                // group restarts cold.
-                evict_backend(&mut inner, shared, &addr);
-                // This request already knows it must re-resolve; don't
-                // make it eat its own group's moved flag.
-                inner.routing.clear_moved(key);
             }
         }
     }
 }
 
+/// Admission and first resolution of one snapshot's group: the owner to
+/// forward it to, or the reply that answers it without a backend.
+#[allow(clippy::result_large_err)] // the Err *is* the wire reply
+fn admit(inner: &mut Inner, shared: &Shared, group: &str, now: f64) -> Result<usize, Response> {
+    let known = inner.routing.get(RoutingTable::key_of(group)).is_some();
+    let tenant = inner.tenants.index_of(tenant_of(group));
+    match inner.tenants.admit(tenant, !known, now) {
+        Admission::Admit => {}
+        Admission::QuotaExceeded => {
+            Counters::add(&shared.counters.tenant_sheds, 1);
+            return Err(Response::Error {
+                kind: "busy".to_string(),
+                code: "tenant_quota".to_string(),
+                message: format!(
+                    "tenant {} is over its distinct-group quota",
+                    tenant_of(group)
+                ),
+                retryable: false,
+            });
+        }
+        Admission::RateLimited | Admission::Shed => {
+            Counters::add(&shared.counters.tenant_sheds, 1);
+            return Err(Response::tenant_shed(tenant_of(group)));
+        }
+    }
+    if let Some(reply) = take_moved(inner, group) {
+        return Err(reply);
+    }
+    // Routing the group here, before the next item is admitted, is what
+    // makes it known: a second snapshot of a new group in the same batch
+    // must not count against the tenant's distinct-group quota again.
+    resolve(inner, shared, group).ok_or_else(|| no_backends(shared))
+}
+
+/// One `IngestBatch` frame of a fan-out round: the batch positions in
+/// `slots`, in input order, all owned by backend `owner`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubBatch {
+    /// Index of the owning backend in the membership.
+    pub owner: usize,
+    /// Positions in the upstream batch, ascending.
+    pub slots: Vec<usize>,
+}
+
+/// Group a batch's pending positions by owner. `owners[i]` is the
+/// backend item `i` goes to, `None` for an item that needs no backend;
+/// `batch_max(owner)` caps one frame to that backend. Each owner's
+/// positions keep their input order, across its frames too (a backend
+/// reads one connection in order, so a group's consecutive seqs arrive
+/// in order); frames come out in order of their first position.
+pub fn partition(owners: &[Option<usize>], batch_max: impl Fn(usize) -> usize) -> Vec<SubBatch> {
+    let mut subs: Vec<SubBatch> = Vec::new();
+    // Per owner, the frame still taking items.
+    let mut open: Vec<Option<usize>> = Vec::new();
+    for (slot, owner) in owners.iter().enumerate() {
+        let Some(owner) = *owner else { continue };
+        if open.len() <= owner {
+            open.resize(owner + 1, None);
+        }
+        match open[owner] {
+            Some(i) if subs[i].slots.len() < batch_max(owner).max(1) => subs[i].slots.push(slot),
+            _ => {
+                open[owner] = Some(subs.len());
+                subs.push(SubBatch {
+                    owner,
+                    slots: vec![slot],
+                });
+            }
+        }
+    }
+    subs
+}
+
+/// Put one frame's items back where [`partition`] took them from.
+pub fn scatter<T>(sub: &SubBatch, items: Vec<T>, out: &mut [Option<T>]) {
+    debug_assert_eq!(items.len(), sub.slots.len());
+    for (&slot, item) in sub.slots.iter().zip(items) {
+        out[slot] = Some(item);
+    }
+}
+
+/// Admission + resolution + fan-out for a batch of snapshots (a lone
+/// `Ingest` is a batch of one): `admit → resolve → partition → send all
+/// → receive all → scatter`, all under the coordinator lock. The reply
+/// has one item per snapshot, in input order.
+fn ingest(batch: Vec<SigSnapshot>, shared: &Shared) -> Vec<Response> {
+    let mut guard = shared.lock();
+    let inner = &mut *guard;
+    let now = shared.now();
+    let mut replies: Vec<Option<Response>> = vec![None; batch.len()];
+    let mut owners: Vec<Option<usize>> = vec![None; batch.len()];
+    for (i, snap) in batch.iter().enumerate() {
+        match admit(inner, shared, &snap.group, now) {
+            Ok(owner) => owners[i] = Some(owner),
+            Err(reply) => replies[i] = Some(reply),
+        }
+    }
+    // A snapshot sits in its slot until a frame carries it away, and
+    // returns there when that frame goes unanswered.
+    let mut batch: Vec<Option<SigSnapshot>> = batch.into_iter().map(Some).collect();
+    while owners.iter().any(Option::is_some) {
+        fan_out(inner, shared, &mut batch, &mut owners, &mut replies);
+    }
+    replies
+        .into_iter()
+        .map(|reply| reply.expect("every slot was answered locally or by a backend"))
+        .collect()
+}
+
+/// One fan-out round over the slots still in `owners`: write one
+/// `IngestBatch` frame per owning backend (more when the batch exceeds
+/// the backend's `batch_max`) before reading any reply, then scatter
+/// each `Batch` into `replies`. A backend whose exchange fails takes
+/// **one** strike for the round however many items it was sent; its
+/// unanswered slots are re-resolved — after an eviction, to their new
+/// owner — for the next round. Items a failing backend applied before
+/// its reply was lost are answered `Duplicate` by the engine's per-group
+/// seq watermark on the retry, never applied twice.
+fn fan_out(
+    inner: &mut Inner,
+    shared: &Shared,
+    batch: &mut [Option<SigSnapshot>],
+    owners: &mut [Option<usize>],
+    replies: &mut [Option<Response>],
+) {
+    let addrs = inner.membership.addrs();
+    // A backend that trips the faultpoint or can't be dialed is down for
+    // the round before it is sent anything. Dialing first is also what
+    // sizes the frames: the `Welcome` carries the backend's `batch_max`.
+    let mut down = vec![false; addrs.len()];
+    // 0 until the owner is dialed; a backend's `batch_max` is at least 1.
+    let mut cap = vec![0usize; addrs.len()];
+    for owner in owners.iter().flatten().copied() {
+        if cap[owner] == 0 && !down[owner] {
+            match proxy_gate().and_then(|()| inner.pool.connect(&addrs[owner])) {
+                Ok(batch_max) => cap[owner] = batch_max,
+                Err(_) => down[owner] = true,
+            }
+        }
+    }
+
+    // Send all. Each frame keeps its request so an unanswered one can
+    // give its snapshots back.
+    let mut frames: Vec<(SubBatch, Request)> = Vec::new();
+    for sub in partition(owners, |owner| cap[owner]) {
+        if down[sub.owner] {
+            continue;
+        }
+        let request = Request::IngestBatch(
+            sub.slots
+                .iter()
+                .map(|&slot| {
+                    batch[slot]
+                        .take()
+                        .expect("a pending slot holds its snapshot")
+                })
+                .collect(),
+        );
+        down[sub.owner] = inner.pool.send(&addrs[sub.owner], &request).is_err();
+        frames.push((sub, request));
+    }
+
+    // Receive all, in send order (per connection that is reply order).
+    for (sub, request) in frames {
+        let answer = if down[sub.owner] {
+            None
+        } else {
+            match inner.pool.recv(&addrs[sub.owner]) {
+                // A frame-level reply (say `overloaded`) answers every
+                // item of the frame.
+                Ok(Response::Batch(items)) if items.len() == sub.slots.len() => Some(items),
+                Ok(Response::Batch(_)) | Err(_) => None,
+                Ok(reply) => Some(vec![reply; sub.slots.len()]),
+            }
+        };
+        let Some(items) = answer else {
+            down[sub.owner] = true;
+            let Request::IngestBatch(snaps) = request else {
+                unreachable!("frames are built as IngestBatch above")
+            };
+            scatter(&sub, snaps, batch);
+            continue;
+        };
+        for item in &items {
+            note_backpressure(inner, shared, item);
+        }
+        for &slot in &sub.slots {
+            owners[slot] = None;
+        }
+        scatter(&sub, items, replies);
+    }
+
+    // Strike or evict what failed, then re-resolve what it left behind.
+    for (owner, addr) in addrs.iter().enumerate() {
+        if down[owner] {
+            if !backend_failed(inner, shared, addr) {
+                for slot in 0..owners.len() {
+                    if owners[slot] == Some(owner) {
+                        owners[slot] = None;
+                        replies[slot] = Some(backend_unavailable(shared, addr));
+                    }
+                }
+            }
+        } else if cap[owner] != 0 {
+            inner.flaps.clear(addr);
+        }
+    }
+    for slot in 0..owners.len() {
+        if owners[slot].is_none() {
+            continue;
+        }
+        let group = &batch[slot]
+            .as_ref()
+            .expect("an unanswered slot kept its snapshot")
+            .group;
+        owners[slot] = resolve(inner, shared, group);
+        if owners[slot].is_none() {
+            replies[slot] = Some(no_backends(shared));
+        }
+    }
+}
+
+/// The reply for a request whose owner is unreachable and cannot be
+/// evicted.
+fn backend_unavailable(shared: &Shared, addr: &str) -> Response {
+    Counters::add(&shared.counters.serve_errors, 1);
+    Response::Error {
+        kind: "busy".to_string(),
+        code: "backend_unavailable".to_string(),
+        message: format!("backend {addr} is unreachable and is the last fleet member"),
+        retryable: true,
+    }
+}
+
+/// Account one failed exchange with `addr` and say whether the caller
+/// should re-resolve and retry. The failure is first a *flap*: a strike
+/// in the detector, retried against the same owner rather than evicting
+/// on a single failed probe. A backend that reaches the threshold is
+/// proven dead and evicted — the same membership change an operator's
+/// `Assign { remove }` would make — so the retry lands on the new
+/// owner. The last backend is never evicted (nothing would be left to
+/// serve from): its trip returns `false` and the caller surfaces a
+/// retryable fault instead. Retry loops built on this terminate: every
+/// failure is a strike, a backend absorbs at most `flap_threshold` of
+/// them before it is evicted, and evictions shrink the membership down
+/// to the last member's `false`.
+fn backend_failed(inner: &mut Inner, shared: &Shared, addr: &str) -> bool {
+    Counters::add(&shared.counters.fleet_backend_errors, 1);
+    // A broken stream can't be trusted for framing; redial on the retry
+    // either way.
+    inner.pool.forget(addr);
+    if !inner.flaps.strike(addr, shared.now()) {
+        Counters::add(&shared.counters.fleet_flaps_suppressed, 1);
+        return true;
+    }
+    if inner.membership.len() <= 1 {
+        return false;
+    }
+    evict_backend(inner, shared, addr);
+    true
+}
+
 /// Evict a proven-dead backend: journal, shrink the membership,
-/// rebalance, and count every relocated group as a cold fallback.
+/// rebalance, and count every relocated group as a cold fallback (the
+/// dead owner's state is unreachable, so each restarts from scratch).
 fn evict_backend(inner: &mut Inner, shared: &Shared, addr: &str) {
     let before = inner.membership.clone();
     inner.journal_member(

@@ -16,7 +16,9 @@
 //! * [`tenant`] — per-tenant group quotas, token-bucket rate limits and
 //!   the deterministic shed order used under backend backlog;
 //! * [`backend`] — the downstream connection pool (reuses
-//!   [`symbio_serve::WireClient`] and the binary envelope);
+//!   [`symbio_serve::WireClient`] and the binary envelope; send and
+//!   receive are separate so frames to several backends can be in
+//!   flight at once);
 //! * [`membership`] — durable membership: the CRC-framed journal a
 //!   restarted coordinator replays to a byte-identical routing view,
 //!   plus the flap detector that de-bounces eviction;
@@ -24,8 +26,9 @@
 //!   (`Settled → Exporting → Importing → Settled`; any failure or
 //!   timeout settles cold, never wedges a route);
 //! * [`coordinator`] — [`Fleetd`] itself: accept loop, admission,
-//!   proxy-with-retry, flap-guarded eviction, orchestrated warm
-//!   handoff on rebalance, fleet-wide metrics aggregation.
+//!   per-owner sub-batch fan-out of ingests, proxy-with-retry for
+//!   reads, flap-guarded eviction, orchestrated warm handoff on
+//!   rebalance, fleet-wide metrics aggregation.
 
 #![warn(missing_docs)]
 

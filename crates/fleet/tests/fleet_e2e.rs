@@ -2,16 +2,18 @@
 //! a real `Fleetd` coordinator, spoken to through the public wire
 //! protocol. Covers the proxy path, the explicit fleet verbs, the
 //! rebalance-on-`Assign` path, the auto-eviction of a killed backend
-//! (zero lost acks), tenant admission, and fleet-wide metrics
-//! aggregation.
+//! (zero lost acks), tenant admission, fleet-wide metrics aggregation,
+//! and the `IngestBatch` fan-out (ordering, mixed local/proxied replies,
+//! a backend dying under a batch, a backend with a small `batch_max`).
 
 use std::net::SocketAddr;
 use std::time::Duration;
 use symbio_allocator::WeightSortPolicy;
 use symbio_fleet::{FleetConfig, Fleetd, Membership, TenantSpec};
 use symbio_machine::{ProcView, SigSnapshot, ThreadView};
-use symbio_online::{OnlineConfig, OnlineEngine};
-use symbio_serve::{Encoding, Request, Response, ServeConfig, Symbiod, WireClient};
+use symbio_online::{DecisionReason, OnlineConfig, OnlineEngine};
+use symbio_serve::proto::DEFAULT_BATCH_MAX;
+use symbio_serve::{Encoding, Request, Response, ServeConfig, SymbiodBuilder, WireClient};
 
 fn thread_view(tid: usize, occ: f64) -> ThreadView {
     ThreadView {
@@ -49,36 +51,60 @@ fn snapshot(group: &str, seq: u64) -> SigSnapshot {
     }
 }
 
-/// One in-process backend on an ephemeral port.
-fn spawn_backend() -> (SocketAddr, std::thread::JoinHandle<symbio::Result<()>>) {
-    let engine =
-        OnlineEngine::new(Box::new(WeightSortPolicy), OnlineConfig::default()).expect("engine");
+/// A snapshot whose occupancies depend on the group and the epoch, so
+/// streams of different groups decide differently.
+fn varied_snapshot(group: &str, seq: u64) -> SigSnapshot {
+    let mut snap = snapshot(group, seq);
+    let shift = group.len() + seq as usize / 3;
+    let occ = [40.0, 30.0, 20.0, 10.0];
+    for (pid, proc) in snap.procs.iter_mut().enumerate() {
+        proc.threads[0].occupancy = occ[(pid + shift) % 4];
+        proc.threads[0].last_occupancy = occ[(pid + shift) % 4] as u32;
+    }
+    snap
+}
+
+fn reference_engine() -> OnlineEngine {
+    OnlineEngine::new(Box::new(WeightSortPolicy), OnlineConfig::default()).expect("engine")
+}
+
+/// One in-process backend on an ephemeral port, taking at most
+/// `batch_max` snapshots per `IngestBatch` frame.
+fn spawn_backend(batch_max: usize) -> (SocketAddr, std::thread::JoinHandle<symbio::Result<()>>) {
     let cfg = ServeConfig {
         workers: 2,
         backlog: 16,
         deadline: Duration::from_secs(5),
     };
-    let daemon = Symbiod::bind("127.0.0.1:0", engine, cfg).expect("bind backend");
+    let daemon = SymbiodBuilder::new(cfg)
+        .batch_max(batch_max)
+        .bind("127.0.0.1:0", vec![reference_engine()])
+        .expect("bind backend");
     let addr = daemon.local_addr();
     (addr, std::thread::spawn(move || daemon.run()))
 }
 
-/// A coordinator over `n` fresh backends, plus a negotiated client.
-#[allow(clippy::type_complexity)] // a test rig bundle, unpacked at every call site
-fn spawn_fleet(
-    n: usize,
-    cfg: FleetConfig,
-) -> (
+/// The rig: backend addresses and threads, the coordinator's address
+/// and thread, and a negotiated client.
+type Fleet = (
     Vec<SocketAddr>,
     Vec<std::thread::JoinHandle<symbio::Result<()>>>,
     SocketAddr,
     std::thread::JoinHandle<symbio::Result<()>>,
     WireClient,
-) {
+);
+
+/// A coordinator over `n` fresh backends, plus a negotiated client.
+fn spawn_fleet(n: usize, cfg: FleetConfig) -> Fleet {
+    spawn_fleet_capped(n, DEFAULT_BATCH_MAX, cfg)
+}
+
+/// [`spawn_fleet`] over backends that advertise `batch_max`.
+fn spawn_fleet_capped(n: usize, batch_max: usize, cfg: FleetConfig) -> Fleet {
     let mut addrs = Vec::new();
     let mut handles = Vec::new();
     for _ in 0..n {
-        let (addr, handle) = spawn_backend();
+        let (addr, handle) = spawn_backend(batch_max);
         addrs.push(addr);
         handles.push(handle);
     }
@@ -634,6 +660,296 @@ fn tenant_quota_and_rate_limits_are_enforced_at_the_coordinator() {
         Response::FleetMetrics(snap) => assert_eq!(snap.aggregate.tenant_sheds, 1),
         other => panic!("expected FleetMetrics, got {other:?}"),
     }
+
+    shutdown_and_join(&mut client, backends, fleet);
+}
+
+/// One `IngestBatch` round trip; the reply's items.
+fn send_batch(client: &mut WireClient, snaps: Vec<SigSnapshot>) -> Vec<Response> {
+    match client
+        .exchange(&Request::IngestBatch(snaps))
+        .expect("batch round trip")
+    {
+        Response::Batch(items) => items,
+        other => panic!("expected Batch, got {other:?}"),
+    }
+}
+
+fn fleet_snapshot(client: &mut WireClient) -> symbio_serve::proto::FleetSnapshot {
+    match client.exchange(&Request::FleetMetrics).expect("metrics") {
+        Response::FleetMetrics(snap) => snap,
+        other => panic!("expected FleetMetrics, got {other:?}"),
+    }
+}
+
+fn error_code(reply: &Response) -> Option<&str> {
+    match reply {
+        Response::Error { code, .. } => Some(code),
+        _ => None,
+    }
+}
+
+/// Every item must acknowledge exactly the snapshot in its slot.
+fn assert_acks_line_up(sent: &[SigSnapshot], items: &[Response]) {
+    assert_eq!(items.len(), sent.len());
+    for (snap, item) in sent.iter().zip(items) {
+        match item {
+            Response::Decision(d) => {
+                assert_eq!((d.group.as_str(), d.seq), (snap.group.as_str(), snap.seq));
+                assert_ne!(d.reason, DecisionReason::Duplicate, "{d:?}");
+            }
+            other => panic!("{}#{} got {other:?}", snap.group, snap.seq),
+        }
+    }
+}
+
+#[test]
+fn a_batch_fans_out_per_owner_and_replies_in_input_order() {
+    let (addrs, backends, _, fleet, mut client) = spawn_fleet(2, FleetConfig::default());
+    let reference = Membership::new(addrs.iter().map(|a| a.to_string()));
+    let groups: Vec<String> = (0..24).map(|i| format!("fan{}/g-{i}", i % 3)).collect();
+    let owners: std::collections::HashSet<&str> = groups
+        .iter()
+        .map(|g| reference.owner_of(g).unwrap())
+        .collect();
+    assert_eq!(owners.len(), 2, "24 groups must span both backends");
+
+    // Eight batches; each carries every group once, in an order that
+    // interleaves the two owners, and two consecutive seqs of the first
+    // group — the second must be applied after the first.
+    let mut engine = reference_engine();
+    let mut next = vec![0u64; groups.len()];
+    for round in 0..8usize {
+        let mut sent = Vec::new();
+        for k in 0..groups.len() {
+            let g = (k * 5 + round) % groups.len();
+            for _ in 0..if g == 0 { 2 } else { 1 } {
+                sent.push(varied_snapshot(&groups[g], next[g]));
+                next[g] += 1;
+            }
+        }
+        let items = send_batch(&mut client, sent.clone());
+        assert_acks_line_up(&sent, &items);
+        for (snap, item) in sent.iter().zip(&items) {
+            let expected = engine.ingest(snap).expect("reference ingest");
+            // `Decision` has no `PartialEq`; its `Debug` shows every field.
+            let expected = format!("{:?}", Response::Decision(expected));
+            assert_eq!(format!("{item:?}"), expected);
+        }
+    }
+
+    for (g, sent) in groups.iter().zip(&next) {
+        match client
+            .exchange(&Request::Map { group: g.clone() })
+            .expect("map")
+        {
+            Response::Map {
+                mapping,
+                epochs,
+                remaps,
+                ..
+            } => {
+                assert_eq!(epochs, *sent);
+                assert_eq!(
+                    (mapping.as_ref(), epochs, remaps),
+                    (engine.mapping(g), engine.epochs(g), engine.remaps(g)),
+                    "group {g} diverged from the in-process engine"
+                );
+            }
+            other => panic!("expected Map, got {other:?}"),
+        }
+    }
+    // One frame per owner per batch: 8 batches of 25 decisions cost each
+    // backend 8 frames, and `proxied` counts the decisions.
+    let snap = fleet_snapshot(&mut client);
+    assert_eq!(snap.aggregate.online_epochs, 8 * 25);
+    assert_eq!(snap.aggregate.serve_batches, 8 + 2 * 8);
+    let proxied: u64 = snap.backends.iter().map(|b| b.proxied).sum();
+    assert_eq!(proxied, 8 * 25 + 24 + 2, "decisions + Map + Metrics");
+
+    shutdown_and_join(&mut client, backends, fleet);
+}
+
+#[test]
+fn a_new_group_counts_once_against_the_quota_within_a_batch() {
+    let capped = |id: &str| TenantSpec {
+        id: id.into(),
+        priority: 0,
+        max_groups: 1,
+        rate: 0.0,
+        burst: 0.0,
+    };
+    let cfg = FleetConfig {
+        tenants: vec![capped("one"), capped("two")],
+        ..FleetConfig::default()
+    };
+    let (_, backends, _, fleet, mut client) = spawn_fleet(2, cfg);
+
+    // Two snapshots of one not-yet-routed group are one distinct group.
+    let sent = vec![snapshot("one/g", 0), snapshot("one/g", 1)];
+    let items = send_batch(&mut client, sent.clone());
+    assert_acks_line_up(&sent, &items);
+
+    // Two new groups are two: the second is over the quota of one.
+    let items = send_batch(
+        &mut client,
+        vec![snapshot("two/g", 0), snapshot("two/h", 0)],
+    );
+    assert!(matches!(items[0], Response::Decision(_)), "{:?}", items[0]);
+    assert_eq!(error_code(&items[1]), Some("tenant_quota"));
+    let snap = fleet_snapshot(&mut client);
+    assert_eq!(snap.aggregate.tenant_sheds, 1);
+    assert_eq!(snap.aggregate.online_epochs, 3);
+
+    shutdown_and_join(&mut client, backends, fleet);
+}
+
+#[test]
+fn a_mixed_batch_answers_every_slot_and_refused_items_reach_no_backend() {
+    let cfg = FleetConfig {
+        tenants: vec![TenantSpec {
+            id: "capped".into(),
+            priority: 0,
+            max_groups: 1,
+            rate: 0.0,
+            burst: 0.0,
+        }],
+        ..FleetConfig::default()
+    };
+    let (addrs, backends, _, fleet, mut client) = spawn_fleet(3, cfg);
+    let before = Membership::new(addrs.iter().map(|a| a.to_string()));
+    let victim = before.addrs()[0].clone();
+
+    let mut groups: Vec<String> = (0..40).map(|i| format!("mix/g-{i}")).collect();
+    // The capped tenant's one group must outlive the drain unmoved.
+    let capped = (0..)
+        .map(|i| format!("capped/k-{i}"))
+        .find(|g| before.owner_of(g).unwrap() != victim)
+        .unwrap();
+    groups.push(capped.clone());
+    let sent: Vec<SigSnapshot> = groups.iter().map(|g| snapshot(g, 0)).collect();
+    assert_acks_line_up(&sent, &send_batch(&mut client, sent.clone()));
+
+    // A planned drain flags the victim's groups `moved`.
+    let reply = client
+        .exchange(&Request::Assign {
+            add: vec![],
+            remove: vec![victim.clone()],
+        })
+        .expect("assign");
+    assert!(matches!(reply, Response::FleetView(_)));
+    let (moved, stayed): (Vec<&String>, Vec<&String>) = groups[..40]
+        .iter()
+        .partition(|g| before.owner_of(g).unwrap() == victim);
+    assert!(!moved.is_empty() && stayed.len() >= 2, "40 groups over 3");
+    let epochs_before = fleet_snapshot(&mut client).aggregate.online_epochs;
+
+    // Unmoved, over-quota, unmoved, moved, the capped tenant's one
+    // routed group: three go to backends, two are answered locally.
+    let sent = vec![
+        snapshot(stayed[0], 1),
+        snapshot("capped/over-quota", 0),
+        snapshot(stayed[1], 1),
+        snapshot(moved[0], 1),
+        snapshot(&capped, 1),
+    ];
+    let items = send_batch(&mut client, sent.clone());
+    assert_eq!(items.len(), 5);
+    assert_eq!(error_code(&items[1]), Some("tenant_quota"));
+    assert_eq!(error_code(&items[3]), Some("route_moved"));
+    for i in [0, 2, 4] {
+        assert_acks_line_up(&sent[i..=i], &items[i..=i]);
+    }
+    let epochs_after = fleet_snapshot(&mut client).aggregate.online_epochs;
+    assert_eq!(epochs_after - epochs_before, 3);
+
+    // The moved flag fired once: the retry is proxied, warm.
+    let retry = send_batch(&mut client, vec![snapshot(moved[0], 1)]);
+    assert_acks_line_up(&[snapshot(moved[0], 1)], &retry);
+
+    let victim_sock: SocketAddr = victim.parse().unwrap();
+    let mut direct = WireClient::connect(victim_sock, Duration::from_secs(5)).expect("direct");
+    assert!(matches!(
+        direct.exchange(&Request::Shutdown).expect("drain victim"),
+        Response::Ok
+    ));
+    shutdown_and_join(&mut client, backends, fleet);
+}
+
+#[test]
+fn a_backend_dying_under_a_batch_costs_one_strike_per_frame_and_no_error() {
+    let (addrs, backends, _, fleet, mut client) = spawn_fleet(2, FleetConfig::default());
+    let reference = Membership::new(addrs.iter().map(|a| a.to_string()));
+    let groups: Vec<String> = (0..24).map(|i| format!("die/g-{i}")).collect();
+    let sent: Vec<SigSnapshot> = groups.iter().map(|g| snapshot(g, 0)).collect();
+    assert_acks_line_up(&sent, &send_batch(&mut client, sent.clone()));
+
+    let victim = reference.addrs()[0].clone();
+    let orphans = groups
+        .iter()
+        .filter(|g| reference.owner_of(g).unwrap() == victim)
+        .count() as u64;
+    assert!(orphans > 1, "the victim must own more than one group");
+    let victim_sock: SocketAddr = victim.parse().unwrap();
+    let mut direct = WireClient::connect(victim_sock, Duration::from_secs(5)).expect("direct");
+    assert!(matches!(
+        direct.exchange(&Request::Shutdown).expect("kill backend"),
+        Response::Ok
+    ));
+    let survivor_epochs = 24 - orphans;
+
+    // Every group's next seq in one batch: the survivor's frame is
+    // answered in the first round; the victim's frame fails three times
+    // (one strike each, whatever it carried), the victim is evicted, and
+    // its items land on the survivor — all inside the one request.
+    let sent: Vec<SigSnapshot> = groups.iter().map(|g| snapshot(g, 1)).collect();
+    let items = send_batch(&mut client, sent.clone());
+    assert_acks_line_up(&sent, &items);
+
+    let snap = fleet_snapshot(&mut client);
+    assert_eq!(snap.backends.len(), 1);
+    assert_ne!(snap.backends[0].addr, victim);
+    let threshold = u64::from(FleetConfig::default().flap_threshold);
+    assert_eq!(snap.aggregate.fleet_backend_errors, threshold);
+    assert_eq!(snap.aggregate.fleet_flaps_suppressed, threshold - 1);
+    assert_eq!(snap.aggregate.fleet_rebalance_moves, orphans);
+    // The survivor applied its own groups' two epochs and the orphans'
+    // one, each exactly once.
+    assert_eq!(snap.aggregate.online_epochs, survivor_epochs + 24);
+
+    shutdown_and_join(&mut client, backends, fleet);
+}
+
+#[test]
+fn a_backend_with_a_small_batch_max_still_serves_a_large_batch() {
+    let (_, backends, _, fleet, mut client) = spawn_fleet_capped(1, 2, FleetConfig::default());
+
+    // Eight snapshots, three of them consecutive seqs of one group that
+    // straddle a frame boundary, through a backend that takes two.
+    let sent: Vec<SigSnapshot> = [
+        ("cap/a", 0),
+        ("cap/b", 0),
+        ("cap/c", 0),
+        ("cap/a", 1),
+        ("cap/a", 2),
+        ("cap/d", 0),
+        ("cap/b", 1),
+        ("cap/e", 0),
+    ]
+    .iter()
+    .map(|&(g, seq)| snapshot(g, seq))
+    .collect();
+    let items = send_batch(&mut client, sent.clone());
+    assert_acks_line_up(&sent, &items);
+
+    let snap = fleet_snapshot(&mut client);
+    assert_eq!(snap.aggregate.online_epochs, 8);
+    // The coordinator's one upstream batch became four backend frames…
+    assert_eq!(snap.aggregate.serve_batches, 1 + 4);
+    // …while `proxied` counts decisions (plus this FleetMetrics' own
+    // Metrics exchange), not frames.
+    assert_eq!(snap.backends[0].proxied, 8 + 1);
+    assert_eq!(snap.backends[0].errors, 0);
 
     shutdown_and_join(&mut client, backends, fleet);
 }

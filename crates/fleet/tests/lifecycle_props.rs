@@ -11,13 +11,19 @@
 //! (c) **journal replay equivalence** — a membership journal with an
 //!     arbitrarily torn tail replays to exactly the membership of its
 //!     valid prefix (truncation loses at most the torn record, never
-//!     corrupts).
+//!     corrupts);
+//! (d) **batch fan-out** (ISSUE 14) — the pure half of the coordinator's
+//!     `IngestBatch` path: for any owner per item, `partition` followed
+//!     by `scatter` puts every item back in its own slot, each owner
+//!     sees its items in input order, and no frame exceeds its owner's
+//!     `batch_max`.
 //!
 //! Values fan out from one `u64` seed via a local xorshift generator,
 //! the same idiom as the serve crate's codec properties (the vendored
 //! proptest surface is deliberately small).
 
 use proptest::prelude::*;
+use symbio_fleet::coordinator::{partition, scatter};
 use symbio_fleet::membership::{decode_member_frame, MemberJournal, MemberRecord};
 use symbio_fleet::{Handoff, HandoffEvent, HandoffOutcome, HandoffState, Membership};
 
@@ -203,5 +209,43 @@ proptest! {
         prop_assert!(replay.truncated, "the glued garbage is always a torn tail");
         prop_assert_eq!(replay.membership, expect);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn scatter_undoes_partition_in_owner_order_within_batch_max(seed in any::<u64>()) {
+        let mut gen = Gen::new(seed);
+        let backends = 1 + gen.below(5) as usize;
+        let caps: Vec<usize> = (0..backends).map(|_| 1 + gen.below(9) as usize).collect();
+        // `None` is an item answered without a backend (refused, moved).
+        let owners: Vec<Option<usize>> = (0..gen.below(65))
+            .map(|_| (gen.below(5) > 0).then(|| gen.below(backends as u64) as usize))
+            .collect();
+
+        let subs = partition(&owners, |owner| caps[owner]);
+
+        // Carry each slot's own index through a frame and back.
+        let mut back: Vec<Option<usize>> = vec![None; owners.len()];
+        for sub in &subs {
+            prop_assert!(!sub.slots.is_empty(), "an empty frame was emitted");
+            prop_assert!(sub.slots.len() <= caps[sub.owner], "{:?} exceeds {:?}", sub, caps);
+            scatter(sub, sub.slots.clone(), &mut back);
+        }
+        for (slot, owner) in owners.iter().enumerate() {
+            prop_assert_eq!(back[slot], owner.map(|_| slot));
+        }
+
+        // Frames of one owner, in the order they are sent, carry its
+        // slots in input order — and only its slots.
+        for owner in 0..backends {
+            let seen: Vec<usize> = subs
+                .iter()
+                .filter(|sub| sub.owner == owner)
+                .flat_map(|sub| sub.slots.iter().copied())
+                .collect();
+            let expected: Vec<usize> = (0..owners.len())
+                .filter(|&slot| owners[slot] == Some(owner))
+                .collect();
+            prop_assert_eq!(seen, expected);
+        }
     }
 }

@@ -13,12 +13,19 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use symbio::Error;
 
+/// Bytes asked of the socket per `read`.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// A blocking request/reply client over one daemon connection.
 #[derive(Debug)]
 pub struct WireClient {
     stream: TcpStream,
     rx: FrameBuffer,
     encoding: Encoding,
+    /// Encode buffer, reused across [`WireClient::send`] calls.
+    tx: Vec<u8>,
+    /// Socket read buffer, reused across [`WireClient::recv`] calls.
+    rd: Box<[u8]>,
 }
 
 impl WireClient {
@@ -34,6 +41,8 @@ impl WireClient {
             stream,
             rx: FrameBuffer::new(),
             encoding: Encoding::JsonLines,
+            tx: Vec::new(),
+            rd: vec![0u8; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -68,29 +77,30 @@ impl WireClient {
 
     /// Send one request frame in the current encoding.
     pub fn send(&mut self, request: &Request) -> symbio::Result<()> {
-        let mut out = Vec::new();
-        self.encoding.codec().encode_request(request, &mut out)?;
-        self.stream.write_all(&out)?;
+        self.tx.clear();
+        self.encoding
+            .codec()
+            .encode_request(request, &mut self.tx)?;
+        self.stream.write_all(&self.tx)?;
         Ok(())
     }
 
     /// Receive one reply frame (blocking up to the read timeout).
     pub fn recv(&mut self) -> symbio::Result<Response> {
-        let mut buf = [0u8; 16 * 1024];
         loop {
             match self.rx.next_reply(self.encoding)? {
                 Chunk::Frame(reply) => return Ok(reply),
                 Chunk::Malformed(e) => return Err(e),
                 Chunk::Incomplete => {}
             }
-            let n = self.stream.read(&mut buf)?;
+            let n = self.stream.read(&mut self.rd)?;
             if n == 0 {
                 return Err(Error::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "daemon closed the connection mid-reply",
                 )));
             }
-            self.rx.extend(&buf[..n]);
+            self.rx.extend(&self.rd[..n]);
         }
     }
 
