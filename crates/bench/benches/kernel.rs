@@ -134,8 +134,8 @@ fn domain_machine(domains: usize) -> Machine {
     domain_machine_threads(domains, 1)
 }
 
-/// [`domain_machine`] stepped by the engine selected with `threads`
-/// (`MachineConfig::step_threads`; 1 = serial, >= 2 = decomposed lanes).
+/// [`domain_machine`] with its domain lanes driven by `threads` OS
+/// threads (`MachineConfig::step_threads`; 1 = lanes run inline).
 fn domain_machine_threads(domains: usize, threads: usize) -> Machine {
     let cfg = MachineConfig::scaled_multidomain(2024, domains).with_step_threads(threads);
     let mut m = Machine::new(cfg);
@@ -336,11 +336,13 @@ fn measured_pass(q: bool) {
     }
 
     // Domain scaling matrix: the loaded-quantum workload on 1/2/4/8-domain
-    // machines (two processes per core) stepped serially and by the
-    // decomposed engine at 2 and 4 workers. `machine_domains_{d}` keeps
-    // its historical serial name; threaded points are suffixed `_t{t}`.
-    // The per-point throughputs roll up into a `domain_scaling_efficiency`
-    // summary entry (speedup of the best threaded engine over serial).
+    // machines (two processes per core), the same per-domain lanes driven
+    // by 1, 2 and 4 stepping threads. Simulated output is identical along
+    // a row; only wall time differs. `machine_domains_{d}` is the
+    // one-thread point (lanes run inline, its historical name); threaded
+    // points are suffixed `_t{t}`. The per-point throughputs roll up into
+    // a `domain_scaling_efficiency` summary entry (best threaded point
+    // over the one-thread point).
     if want("machine_domains") {
         let domain_counts = [1usize, 2, 4, 8];
         let thread_counts = [1usize, 2, 4];
@@ -366,8 +368,8 @@ fn measured_pass(q: bool) {
         let speedup: Vec<f64> = matrix
             .iter()
             .map(|row| {
-                let serial = row[0].max(1e-9);
-                row.iter().skip(1).fold(0.0f64, |b, &v| b.max(v)) / serial
+                let one_thread = row[0].max(1e-9);
+                row.iter().skip(1).fold(0.0f64, |b, &v| b.max(v)) / one_thread
             })
             .collect();
         let summary = ScalingSummaryRecord {

@@ -6,7 +6,7 @@
 //! loadgen --addr 127.0.0.1:7411 [--conns 2] [--seconds 2]
 //!         [--rate 0 (per-conn ingest/s, 0 = unthrottled)]
 //!         [--domains 1 (cache domains of the recorded machine)]
-//!         [--step-threads 1 (domain-stepping workers while recording)]
+//!         [--step-threads 1 (OS threads driving the domain lanes while recording; never changes the trace)]
 //!         [--encoding json (json | binary | legacy)]
 //!         [--batch 1 (epochs per IngestBatch frame)]
 //!         [--min-rate 0 (fail below this decisions/sec floor)]
@@ -999,7 +999,7 @@ fn main() -> symbio::Result<()> {
     }
     if step_threads == 0 {
         return Err(Error::InvalidConfig(
-            "--step-threads must be >= 1 (1 = serial stepping)".to_string(),
+            "--step-threads must be >= 1 (1 = lanes run inline)".to_string(),
         ));
     }
     if batch == 0 {

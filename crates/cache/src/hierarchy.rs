@@ -52,17 +52,16 @@ pub struct MemorySystem {
     domain_of: Vec<usize>,
     /// Domain → first global core id.
     domain_start: Vec<usize>,
-    /// DRAM channels. Length 1 = the classic single shared channel, where
-    /// every domain's misses serialize through one `next_free` stream.
-    /// After [`split_dram_channels`](MemorySystem::split_dram_channels),
-    /// length equals the domain count and each domain owns an independent
-    /// channel — the decomposed-engine memory model.
+    /// One DRAM channel per domain: a domain's misses queue only behind
+    /// its own, so domains share no mutable state and can be stepped
+    /// independently ([`MemorySystem::domain_mems`]).
     dram: Vec<Dram>,
 }
 
 impl MemorySystem {
     /// Build a memory system over `topology`. `l2_geo` is the geometry of
-    /// *each* domain L2.
+    /// *each* domain L2, and every domain gets its own copy of the `dram`
+    /// channel model.
     ///
     /// Seeding: a single-domain machine seeds its L2 with `seed ^ 0x12`
     /// and a multi-domain machine seeds domain `d` with `seed ^ (0x100 + d)`
@@ -105,27 +104,8 @@ impl MemorySystem {
             l2,
             domain_of,
             domain_start,
-            dram: vec![dram],
+            dram: vec![dram; topology.domains()],
         }
-    }
-
-    /// Replace the single shared DRAM channel with one pristine channel
-    /// per domain (same latency/bandwidth parameters). Must be called
-    /// before any traffic; the decomposed stepping engine requires it so
-    /// domains share no mutable state.
-    pub fn split_dram_channels(&mut self) {
-        assert_eq!(
-            self.dram[0].requests(),
-            0,
-            "DRAM channels must be split before any traffic"
-        );
-        let template = self.dram[0].clone();
-        self.dram = vec![template; self.topology.domains()];
-    }
-
-    /// Number of DRAM channels (1 = shared, domains = split).
-    pub fn dram_channels(&self) -> usize {
-        self.dram.len()
     }
 
     /// Convenience constructor for the scaled Core-2-Duo shared-L2 machine.
@@ -183,29 +163,20 @@ impl MemorySystem {
     #[inline]
     pub fn core_channel(&mut self, core: usize) -> CoreChannel<'_> {
         let l2i = self.l2_index(core);
-        let di = if self.dram.len() == 1 { 0 } else { l2i };
         let l2 = &mut self.l2[l2i];
         CoreChannel {
             line_shift: l2.geometry().line_shift(),
             l1: &mut self.l1[core],
             l2,
-            dram: &mut self.dram[di],
+            dram: &mut self.dram[l2i],
             core,
             local_core: core - self.domain_start[l2i],
         }
     }
 
     /// Split the whole memory system into one independent [`DomainMem`]
-    /// per domain. Requires per-domain DRAM channels
-    /// ([`split_dram_channels`](MemorySystem::split_dram_channels)): with a
-    /// shared channel the domains would alias mutable state and cannot be
-    /// stepped independently.
+    /// per domain.
     pub fn domain_mems(&mut self) -> Vec<DomainMem<'_>> {
-        assert_eq!(
-            self.dram.len(),
-            self.l2.len(),
-            "domain_mems requires per-domain DRAM channels"
-        );
         let mut out = Vec::with_capacity(self.l2.len());
         let mut l1_rest = self.l1.as_mut_slice();
         let mut taken = 0;
@@ -251,8 +222,8 @@ impl MemorySystem {
         self.l2[0].geometry()
     }
 
-    /// Access to a DRAM channel model (e.g. for bandwidth reporting).
-    /// Channel 0 is the shared channel on an unsplit system.
+    /// Domain 0's DRAM channel model (e.g. for bandwidth reporting) — the
+    /// only channel on a single-domain system.
     pub fn dram(&self) -> &Dram {
         &self.dram[0]
     }

@@ -135,8 +135,9 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Step independent cache domains on up to `threads` worker threads
-    /// (1 = serial engine; see `MachineConfig::step_threads`).
+    /// Drive the per-domain stepping lanes with up to `threads` OS
+    /// threads (1 = lanes run inline; results never depend on it — see
+    /// `MachineConfig::step_threads`).
     pub fn step_threads(mut self, threads: usize) -> Self {
         self.cfg.machine.step_threads = threads.max(1);
         self

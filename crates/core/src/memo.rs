@@ -15,7 +15,7 @@ use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use symbio_machine::{Mapping, RunOutcome};
+use symbio_machine::{MachineConfig, Mapping, RunOutcome};
 
 /// What kind of run a key describes (single-threaded processes vs
 /// `threads`-way multi-threaded applications).
@@ -44,9 +44,11 @@ pub struct MeasureCache {
 /// `machine_cfg` must be the *template* config (pre-seed-offsetting) and
 /// the measurement parameters must include everything `Pipeline::averaged`
 /// folds in, so two pipelines differing only in, say, `measure_repeats`
-/// never collide.
+/// never collide. `step_threads` is the one field left out: it picks how
+/// many OS threads drive the simulation, never what the simulation
+/// computes, so runs differing only there share one entry.
 pub fn measure_key(
-    machine_cfg: &impl Serialize,
+    machine_cfg: &MachineConfig,
     measure_max_cycles: u64,
     measure_seed_offset: u64,
     measure_repeats: u32,
@@ -59,7 +61,7 @@ pub fn measure_key(
         RunKind::MultiThreaded(t) => Value::U64(t as u64),
     };
     let key = Value::Array(vec![
-        machine_cfg.to_value(),
+        machine_cfg.with_step_threads(1).to_value(),
         Value::U64(measure_max_cycles),
         Value::U64(measure_seed_offset),
         Value::U64(u64::from(measure_repeats)),
@@ -127,7 +129,7 @@ impl MeasureCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symbio_machine::{MachineConfig, ProcOutcome};
+    use symbio_machine::ProcOutcome;
 
     fn outcome(tag: u64) -> RunOutcome {
         RunOutcome {
@@ -210,6 +212,20 @@ mod tests {
         assert_ne!(
             base,
             measure_key(&cfg3, 100, 5, 3, RunKind::SingleThreaded, &specs[..4], &m)
+        );
+        // The one parameter that cannot change an outcome shares the key.
+        let threaded = cfg.with_step_threads(4);
+        assert_eq!(
+            base,
+            measure_key(
+                &threaded,
+                100,
+                5,
+                3,
+                RunKind::SingleThreaded,
+                &specs[..4],
+                &m
+            )
         );
     }
 

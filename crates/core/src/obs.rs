@@ -67,12 +67,13 @@ pub struct Counters {
     /// engine actually touched that domain, so a healthy multi-domain
     /// replay shows activity precisely where remaps landed.
     pub domain_remaps: [AtomicU64; MAX_DOMAINS],
-    /// Domain-lane step batches executed by the decomposed (parallel)
-    /// machine engine. Zero for serial (`step_threads == 1`) runs.
+    /// Hot-loop batches executed by the machines' domain lanes: every
+    /// run steps through lanes, so this is non-zero for every run and
+    /// does not depend on `step_threads`.
     pub par_domain_steps: AtomicU64,
     /// Highest `MachineConfig::step_threads` any pipeline reporting here
-    /// was configured with (a gauge recorded via `fetch_max`, so mixed
-    /// sweeps report the widest engine used).
+    /// was configured with — the OS threads driving the lanes (a gauge
+    /// recorded via `fetch_max`, so mixed sweeps report the widest).
     pub step_threads: AtomicU64,
     /// Wall-clock nanoseconds spent inside `Machine::run_for` quantum
     /// stepping during profiling (the per-quantum stage timer; excludes
@@ -511,13 +512,13 @@ pub struct KernelBenchRecord {
     pub ns_per_op: f64,
     /// Simulated operations per wall-clock second.
     pub ops_per_sec: f64,
-    /// Stepping threads the measured engine was configured with
-    /// (`MachineConfig::step_threads`; 1 = serial engine).
+    /// Stepping threads the measured machine was configured with
+    /// (`MachineConfig::step_threads`; 1 = lanes run inline).
     pub threads: u64,
 }
 
 impl KernelBenchRecord {
-    /// Assemble a record from a measured pass (serial engine).
+    /// Assemble a record from a measured pass on one stepping thread.
     pub fn new(name: &str, ops: u64, wall_seconds: f64) -> Self {
         let wall = wall_seconds.max(1e-9);
         KernelBenchRecord {
@@ -562,7 +563,8 @@ pub struct ScalingSummaryRecord {
     /// `ops_per_sec[di][ti]` for `domains[di]` at `threads[ti]`.
     pub ops_per_sec: Vec<Vec<f64>>,
     /// Per-domain parallel efficiency: best threaded throughput over the
-    /// serial (`threads == 1`) throughput of the same domain count.
+    /// one-thread (`threads == 1`, lanes run inline) throughput of the
+    /// same domain count.
     pub speedup_vs_serial: Vec<f64>,
 }
 

@@ -5,7 +5,6 @@ use crate::memo::{measure_key, MeasureCache, RunKind};
 use crate::mixes::candidate_mappings;
 use crate::obs::Counters;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 use symbio_allocator::AllocationPolicy;
 use symbio_machine::{Machine, MachineConfig, Mapping, ProcView, RunOutcome, ThreadView};
@@ -17,8 +16,9 @@ pub struct ProfileResult {
     /// The majority mapping (the paper applies the mapping "picked by the
     /// simulated allocator the majority of the times").
     pub winner: Mapping,
-    /// Vote count per candidate partition (keyed by the winner index into
-    /// `candidates`).
+    /// Vote count per distinct partition the allocator proposed, most
+    /// votes first; equal counts in the order first proposed (so the
+    /// winner of a tie is the oldest).
     pub votes: Vec<(Mapping, u32)>,
     /// Allocator invocations performed.
     pub invocations: u32,
@@ -251,7 +251,9 @@ impl Pipeline {
         policy: &mut dyn AllocationPolicy,
     ) -> ProfileResult {
         let cores = machine.config().cores;
-        let mut votes: HashMap<Vec<Vec<usize>>, (Mapping, u32)> = HashMap::new();
+        // Tallied in first-seen order so a tied vote has one winner per
+        // seed (a hash map's iteration order differs between runs).
+        let mut votes: Vec<(Vec<Vec<usize>>, Mapping, u32)> = Vec::new();
         let mut invocations = 0;
         let deadline = machine.now() + self.cfg.profile_cycles;
         self.counters
@@ -269,15 +271,18 @@ impl Pipeline {
                 machine.apply_mapping(&mapping);
             }
             invocations += 1;
-            votes
-                .entry(mapping.partition_key(cores))
-                .and_modify(|(_, c)| *c += 1)
-                .or_insert((mapping, 1));
+            let key = mapping.partition_key(cores);
+            match votes.iter_mut().find(|(k, _, _)| *k == key) {
+                Some((_, _, count)) => *count += 1,
+                None => votes.push((key, mapping, 1)),
+            }
         }
         Counters::add(&self.counters.profile_runs, 1);
         Counters::add(&self.counters.sim_cycles, machine.now());
         Counters::add(&self.counters.par_domain_steps, machine.par_domain_steps());
-        let mut votes: Vec<(Mapping, u32)> = votes.into_values().collect();
+        let mut votes: Vec<(Mapping, u32)> = votes.into_iter().map(|(_, m, c)| (m, c)).collect();
+        // Stable sort: equal counts stay oldest-first, the tie-break the
+        // online engine's window majority uses.
         votes.sort_by_key(|v| std::cmp::Reverse(v.1));
         let winner = votes
             .first()

@@ -471,8 +471,7 @@ impl<'a> SweepEngine<'a> {
                     "domain-scaling points need at least one domain".into(),
                 ));
             }
-            // Carry the engine selection over: scaling points should run on
-            // the same stepping engine the caller configured.
+            // Carry the caller's stepping-thread count over to every point.
             let machine = MachineConfig::scaled_multidomain(self.cfg.machine.seed, d)
                 .with_step_threads(self.cfg.machine.step_threads);
             let topo = machine.topology;

@@ -77,15 +77,13 @@ pub struct MachineConfig {
     pub paging: bool,
     /// Master seed; every stochastic component derives from it.
     pub seed: u64,
-    /// Stepping engine selector. `1` (the default everywhere) runs the
-    /// classic coupled engine — one global frontier, one shared DRAM
-    /// channel, one jitter stream — whose outputs are pinned bit-for-bit
-    /// by the golden digests. `>= 2` selects the decomposed engine:
-    /// cache domains step independently on up to `step_threads` scoped
-    /// worker threads, each with its own DRAM channel and jitter stream,
-    /// and results are merged in domain order. Decomposed output depends
-    /// only on the domain decomposition, never on how many workers
-    /// actually ran, so any two values `>= 2` are bit-identical.
+    /// OS threads that drive the stepping engine. Every run steps one
+    /// lane per cache domain (its own frontier, DRAM channel and jitter
+    /// stream) and merges the lanes in domain order; this only picks how
+    /// many scoped worker threads the lanes are spread over —
+    /// `min(step_threads, domains, host CPUs)`, with `1` (the default
+    /// everywhere) running them inline in domain order. Output depends
+    /// only on the domain decomposition, never on this value.
     pub step_threads: usize,
 }
 
@@ -206,7 +204,7 @@ impl MachineConfig {
             return Err("machine must have at least one core".to_string());
         }
         if self.step_threads == 0 {
-            return Err("step_threads must be at least 1 (1 = serial engine)".to_string());
+            return Err("step_threads must be at least 1 (1 = lanes run inline)".to_string());
         }
         let topo_cores = self.topology.cores();
         if topo_cores != self.cores {
@@ -231,8 +229,8 @@ impl MachineConfig {
         self
     }
 
-    /// Select the stepping engine (see [`MachineConfig::step_threads`]).
-    /// Values below 1 are clamped to the serial engine.
+    /// Set how many OS threads drive the domain lanes (see
+    /// [`MachineConfig::step_threads`]). Values below 1 are clamped to 1.
     pub fn with_step_threads(mut self, threads: usize) -> Self {
         self.step_threads = threads.max(1);
         self

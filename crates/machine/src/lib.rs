@@ -13,10 +13,13 @@
 //!   *user time* (cycles the process actually executed, the `time`-style
 //!   metric the paper tabulates).
 //!
-//! The simulator is an interleaved-by-cycle multi-core engine:
-//! each core has a local clock; the engine always advances the core with
-//! the smallest clock, so a faster process naturally issues more of the
-//! interleaved shared-L2 traffic. On top sit:
+//! The simulator is an interleaved-by-cycle multi-core engine: each core
+//! has a local clock, and within a cache domain the engine always
+//! advances the core with the smallest clock, so a faster process
+//! naturally issues more of the interleaved shared-L2 traffic. Cache
+//! domains share nothing (own L2, DRAM channel, jitter stream), so each is
+//! stepped as an independent lane — see [`MachineConfig::step_threads`].
+//! On top sit:
 //!
 //! * an OS scheduler with per-core run queues, a fixed quantum, and
 //!   affinity bits ([`sched`]) — the paper's user-level allocator only sets

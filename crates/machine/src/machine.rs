@@ -17,11 +17,20 @@ const PAGE_SHIFT: u32 = 12;
 /// Physical page-frame number mask (40-bit physical space).
 const PFN_MASK: u64 = (1 << 28) - 1;
 
-/// Advance `state` (xorshift64) and draw a quantum uniform in
-/// [base/2, 3·base/2] — see [`Machine::jittered_quantum`] for why the
-/// jitter exists. A free function over the bare state so both the serial
-/// engine (`jitter[0]`) and each decomposed domain lane (its own stream)
-/// share one implementation.
+/// Advance `state` (xorshift64) and draw a scheduling quantum with ±50 %
+/// deterministic jitter, uniform in [base/2, 3·base/2]. Each cache
+/// domain's lane draws from its own stream.
+///
+/// Real machines' per-core schedulers drift relative to each other
+/// (timer skew, interrupts, syscalls); without jitter the simulated
+/// cores rotate their run queues in perfect lockstep and the identity
+/// of the *concurrently running* co-runner is frozen by initial queue
+/// phase — which makes two of the three 4-on-2 mappings behaviourally
+/// identical and defeats the contention analysis. Jitter restores the
+/// drift so a time-shared pair faces every other-core process in turn.
+/// The jitter is wide because simulated runs span only a handful of
+/// quanta, where a real benchmark spans ~10^3 — phase mixing must happen
+/// correspondingly faster.
 #[inline]
 fn jittered(state: &mut u64, base: u64) -> u64 {
     *state ^= *state << 13;
@@ -110,28 +119,12 @@ impl RunOutcome {
     }
 }
 
-/// Why a [`hot_run`] batch stopped.
-#[derive(Debug, Clone, Copy)]
-enum HotExit {
-    /// The quantum expired mid-batch. The caller must run the
-    /// context-switch slow path; `gating_first` reports whether the same
-    /// op also produced a gating first completion (completion-mode
-    /// drivers re-check `all_complete` after the switch, matching the
-    /// per-op engine's event order).
-    Quantum { gating_first: bool },
-    /// A gating thread finished its first run without the quantum
-    /// expiring (only returned when `stop_on_gating_first` is set).
-    GatingFirst,
-    /// The core clock passed the batch limit.
-    Limit,
-}
-
 /// Execute exactly one operation of thread `t` against its pre-resolved
 /// memory channel: cost model, memory system, virtualization tax,
 /// retirement and completion-restart. Returns `(cost, gating_first)`.
 ///
-/// This is *the* op semantics — the per-op engine ([`Machine::exec_op`]),
-/// the batched serial engine and the decomposed domain lanes all execute
+/// This is *the* op semantics — the batched lane loop ([`hot_run`]) and
+/// the per-op reference stepper the tests compare it against both execute
 /// through here, so they cannot drift apart. The caller owns quantum
 /// accounting (the only piece that differs between them).
 #[allow(clippy::too_many_arguments)]
@@ -206,9 +199,12 @@ fn exec_one<S: CacheEventSink + ?Sized>(
 
 /// The batched hot loop: run ops of one thread back to back while the
 /// batch invariants hold, charging the quantum inline instead of through
-/// the scheduler each op. Exits are chosen so the op sequence is
-/// cycle-identical to driving [`exec_one`] one op at a time through the
-/// per-op engine.
+/// the scheduler each op. Returns true when the quantum expired (the
+/// caller runs the context-switch slow path), false when the core clock
+/// passed `limit` or — with `stop_on_gating_first` — a gating thread
+/// finished its first run. The stops are chosen so the op sequence is
+/// cycle-identical to driving [`exec_one`] one op at a time, which
+/// `batched_stepping_matches_per_op_reference` checks.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn hot_run<S: CacheEventSink + ?Sized>(
@@ -223,18 +219,15 @@ fn hot_run<S: CacheEventSink + ?Sized>(
     paging: bool,
     limit: u64,
     stop_on_gating_first: bool,
-) -> HotExit {
+) -> bool {
     loop {
         let (cost, gating_first) = exec_one(t, factory, chan, sink, clock, virt, timing, paging);
         *quantum_left -= cost as i64;
         if *quantum_left <= 0 {
-            return HotExit::Quantum { gating_first };
+            return true;
         }
-        if gating_first && stop_on_gating_first {
-            return HotExit::GatingFirst;
-        }
-        if *clock > limit {
-            return HotExit::Limit;
+        if (gating_first && stop_on_gating_first) || *clock > limit {
+            return false;
         }
     }
 }
@@ -261,21 +254,15 @@ pub struct Machine {
     gating_procs: usize,
     clocks: Vec<u64>,
     switches: u64,
-    /// One quantum-jitter stream per cache domain. The serial engine only
-    /// ever draws from `jitter[0]`, which is seeded with the historical
-    /// formula so legacy digests are unchanged; the decomposed engine
-    /// gives each domain lane its own stream so lanes stay independent.
+    /// One quantum-jitter stream per cache domain, so lanes stay
+    /// independent. Domain 0 is seeded with the historical single-stream
+    /// formula, which keeps every single-domain golden digest unchanged.
     jitter: Vec<u64>,
-    /// Reused signature-sample buffer: context switches are the most
+    /// Per-domain signature-sample buffer: context switches are the most
     /// frequent non-op event, and with this (plus the unit's RBV scratch)
     /// they stay off the allocator entirely.
-    sample_scratch: SignatureSample,
-    /// Per-domain sample scratch for the decomposed engine (lanes cannot
-    /// share `sample_scratch`); allocated once so parallel stepping stays
-    /// off the allocator per quantum.
     lane_scratch: Vec<SignatureSample>,
-    /// Per-domain step batches executed by the decomposed engine
-    /// (0 under the serial engine).
+    /// Hot-loop batches executed, summed over every domain lane.
     par_domain_steps: u64,
     sealed: bool,
 }
@@ -290,7 +277,7 @@ impl Machine {
         if let Err(e) = cfg.validate() {
             panic!("invalid machine configuration: {e}");
         }
-        let mut mem = MemorySystem::new(
+        let mem = MemorySystem::new(
             cfg.topology,
             cfg.l1,
             cfg.l2,
@@ -298,11 +285,6 @@ impl Machine {
             Dram::new(cfg.dram.0, cfg.dram.1),
             cfg.seed,
         );
-        // The decomposed engine steps each cache domain on its own DRAM
-        // channel so lanes share no memory-system state at all.
-        if cfg.step_threads >= 2 {
-            mem.split_dram_channels();
-        }
         let sig = if cfg.signature.is_some() {
             (0..cfg.topology.domains())
                 .map(|d| {
@@ -320,9 +302,9 @@ impl Machine {
             .map(|d| cfg.topology.core_start(d))
             .collect();
         let domains = cfg.topology.domains();
-        // Domain 0 keeps the historical seeding so the serial engine's
-        // jitter stream (and therefore every legacy golden digest) is
-        // unchanged; further domains mix the domain id in.
+        // Domain 0 keeps the historical seeding (and therefore every
+        // single-domain golden digest); further domains mix the domain
+        // id in.
         let jitter = (0..domains)
             .map(|d| {
                 cfg.seed
@@ -346,28 +328,11 @@ impl Machine {
             clocks: vec![0; cfg.cores],
             switches: 0,
             jitter,
-            sample_scratch: SignatureSample::default(),
             lane_scratch: (0..domains).map(|_| SignatureSample::default()).collect(),
             par_domain_steps: 0,
             cfg,
             sealed: false,
         }
-    }
-
-    /// Scheduling quantum with ±50 % deterministic jitter.
-    ///
-    /// Real machines' per-core schedulers drift relative to each other
-    /// (timer skew, interrupts, syscalls); without jitter the simulated
-    /// cores rotate their run queues in perfect lockstep and the identity
-    /// of the *concurrently running* co-runner is frozen by initial queue
-    /// phase — which makes two of the three 4-on-2 mappings behaviourally
-    /// identical and defeats the contention analysis. Jitter restores the
-    /// drift so a time-shared pair faces every other-core process in turn.
-    /// The jitter is wide (uniform in [q/2, 3q/2]) because simulated runs
-    /// span only a handful of quanta, where a real benchmark spans ~10^3 —
-    /// phase mixing must happen correspondingly faster.
-    fn jittered_quantum(&mut self, base: u64) -> u64 {
-        jittered(&mut self.jitter[0], base)
     }
 
     /// The machine's configuration.
@@ -538,9 +503,10 @@ impl Machine {
             // per-core vectors therefore stay domain-local, but the core
             // *label* on the sample is restored to the global id so
             // `ThreadView::last_core` keeps machine-wide meaning.
-            sig.switch_out_into(core - self.domain_start[d], &mut self.sample_scratch);
-            self.sample_scratch.core = core;
-            self.threads[tid].sig.update(&self.sample_scratch);
+            let scratch = &mut self.lane_scratch[d];
+            sig.switch_out_into(core - self.domain_start[d], scratch);
+            scratch.core = core;
+            self.threads[tid].sig.update(scratch);
         }
     }
 
@@ -558,205 +524,19 @@ impl Machine {
             .unwrap_or_else(|| self.clocks.iter().copied().max().unwrap_or(0))
     }
 
-    /// Execute one operation on the most-behind active core. Returns false
-    /// when no core has work.
-    pub fn step_one(&mut self) -> bool {
-        debug_assert!(self.sealed, "start() the machine first");
-        let Some(core) = self.frontier_core() else {
-            return false;
-        };
-        let tid = self.ensure_current(core);
-        self.exec_op(core, tid);
-        true
-    }
-
-    /// The most-behind active core: first minimum of the active clocks
-    /// (lowest index wins ties, matching `min_by_key`).
-    #[inline]
-    fn frontier_core(&self) -> Option<usize> {
-        (0..self.cfg.cores)
-            .filter(|&c| self.sched.has_work(c))
-            .min_by_key(|&c| self.clocks[c])
-    }
-
-    /// The thread running on `core`, dispatching (and arming a jittered
-    /// quantum) when the core is between threads.
-    #[inline]
-    fn ensure_current(&mut self, core: usize) -> usize {
-        match self.sched.current(core) {
-            Some(t) => t,
-            None => {
-                let base = self.cfg.effective_quantum();
-                let quantum = self.jittered_quantum(base);
-                let t = self
-                    .sched
-                    .dispatch(core, quantum) // provisional; corrected below
-                    .expect("has_work implies dispatchable");
-                let div = self.quantum_divisor[t];
-                if div > 1 {
-                    self.sched.rearm(core, quantum / div);
-                }
-                t
-            }
-        }
-    }
-
-    /// The largest value `clocks[core]` may hold *before* an op such that
-    /// the op is one the unbatched engine would also execute next: `core`
-    /// must still win the frontier tie-break against every other active
-    /// core (whose clocks cannot move during the batch) and stay below
-    /// `stop_before`. Requires `clocks[core] < stop_before`.
-    #[inline]
-    fn batch_limit(&self, core: usize, stop_before: u64) -> u64 {
-        let mut limit = stop_before - 1;
-        for c in 0..self.cfg.cores {
-            if c != core && self.sched.has_work(c) {
-                // Lower-index cores win ties, so `core` leads only while
-                // strictly behind them (their clock is >= 1 here because
-                // `core` is currently the frontier).
-                let v = if c < core {
-                    self.clocks[c] - 1
-                } else {
-                    self.clocks[c]
-                };
-                limit = limit.min(v);
-            }
-        }
-        limit
-    }
-
-    /// Execute one operation of `tid` on `core` (cost model, memory
-    /// system, virtualization tax, completion and quantum accounting).
-    #[inline]
-    fn exec_op(&mut self, core: usize, tid: usize) {
-        let d = self.domain_of[core];
-        let mut chan = self.mem.core_channel(core);
-        let t = &mut self.threads[tid];
-        let factory = &self.factories[tid];
-        let clock = &mut self.clocks[core];
-        let (virt, timing, paging) = (self.cfg.virt, self.cfg.timing, self.cfg.paging);
-        let (cost, _gating_first) = match self.sig.get_mut(d) {
-            Some(unit) => exec_one(t, factory, &mut chan, unit, clock, virt, timing, paging),
-            None => exec_one(
-                t,
-                factory,
-                &mut chan,
-                &mut NullSink,
-                clock,
-                virt,
-                timing,
-                paging,
-            ),
-        };
-        if self.sched.charge(core, cost) {
-            self.context_switch(core);
-        }
-    }
-
-    /// Run the batched hot loop for `tid` on `core`: every per-op borrow
-    /// (thread, memory channel, signature sink, clock, quantum) is
-    /// resolved once here, then [`hot_run`] executes ops back to back
-    /// until the quantum expires, the clock passes `limit`, or — in
-    /// completion mode — a gating thread first completes. Quantum expiry
-    /// exits to the caller's [`Machine::context_switch`] slow path, which
-    /// is exactly where the per-op engine would have landed.
-    fn hot_batch(
-        &mut self,
-        core: usize,
-        tid: usize,
-        limit: u64,
-        stop_on_gating_first: bool,
-    ) -> HotExit {
-        let d = self.domain_of[core];
-        let mut chan = self.mem.core_channel(core);
-        let t = &mut self.threads[tid];
-        let factory = &self.factories[tid];
-        let clock = &mut self.clocks[core];
-        let quantum_left = self.sched.quantum_cell(core);
-        let (virt, timing, paging) = (self.cfg.virt, self.cfg.timing, self.cfg.paging);
-        match self.sig.get_mut(d) {
-            Some(unit) => hot_run(
-                t,
-                factory,
-                &mut chan,
-                unit,
-                clock,
-                quantum_left,
-                virt,
-                timing,
-                paging,
-                limit,
-                stop_on_gating_first,
-            ),
-            None => hot_run(
-                t,
-                factory,
-                &mut chan,
-                &mut NullSink,
-                clock,
-                quantum_left,
-                virt,
-                timing,
-                paging,
-                limit,
-                stop_on_gating_first,
-            ),
-        }
-    }
-
-    /// Quantum expiry; true when the running thread was actually preempted
-    /// (a solo thread just re-arms and keeps running).
-    fn context_switch(&mut self, core: usize) -> bool {
-        let Some(cur) = self.sched.current(core) else {
-            return false;
-        };
-        self.take_signature_sample(core, cur);
-        if self.sched.load(core) > 1 {
-            self.sched.preempt(core);
-            self.clocks[core] += self.switch_cost();
-            self.switches += 1;
-            true
-        } else {
-            // Solo thread: no one to switch to; just re-arm the quantum
-            // (the snapshot above still refreshes the signature sample).
-            let base = self.cfg.effective_quantum() / self.quantum_divisor[cur];
-            let quantum = self.jittered_quantum(base.max(1));
-            self.sched.rearm(core, quantum.max(1));
-            false
-        }
-    }
-
-    /// Run until the frontier advances by `cycles` (or work runs out).
-    ///
-    /// Batched: the frontier scan and scheduler lookup are hoisted out of
-    /// the op loop — while the dispatched thread stays the frontier (other
-    /// active clocks cannot move meanwhile) it runs in a tight inner loop,
-    /// breaking only on preemption or on catching up to [`Self::batch_limit`].
-    /// The op sequence is cycle-identical to stepping one op at a time.
-    ///
-    /// With `step_threads >= 2` the decomposed engine steps each cache
-    /// domain independently (in parallel) to the same global target; see
-    /// [`MachineConfig::step_threads`].
+    /// Run until the frontier advances by `cycles` (or work runs out):
+    /// every cache domain's lane steps to the same global target clock;
+    /// see [`Machine::run_lanes`].
     pub fn run_for(&mut self, cycles: u64) {
         debug_assert!(self.sealed, "start() the machine first");
-        let target = self.now().saturating_add(cycles);
-        if self.cfg.step_threads >= 2 {
-            self.run_decomposed(LaneGoal::For { target });
-            return;
-        }
-        while let Some(core) = self.frontier_core() {
-            if self.clocks[core] >= target {
-                break;
-            }
-            let limit = self.batch_limit(core, target);
-            let tid = self.ensure_current(core);
-            if let HotExit::Quantum { .. } = self.hot_batch(core, tid, limit, false) {
-                // Quantum expiry is the slow path: take the signature
-                // sample and preempt (or re-arm a solo thread), exactly
-                // as the per-op engine does inline.
-                self.context_switch(core);
-            }
-        }
+        let stop_before = self.now().saturating_add(cycles);
+        self.run_lanes(
+            LaneGoal {
+                stop_before,
+                to_completion: false,
+            },
+            run_lane,
+        );
     }
 
     /// Whether every gating process has completed at least one run.
@@ -768,61 +548,46 @@ impl Machine {
     }
 
     /// Run until every gating process completes once, or `max_cycles` of
-    /// frontier progress elapse.
-    ///
-    /// Batched like [`Machine::run_for`]; additionally breaks the inner
-    /// loop at gating first-completion events so `all_complete` is
-    /// re-checked at the same op boundaries as unbatched stepping
-    /// (completions are the only events that can flip it).
+    /// frontier progress elapse. Each lane stops when *its own* gating
+    /// threads have completed once; see [`Machine::run_lanes`].
     pub fn run_to_completion(&mut self, max_cycles: u64) -> RunOutcome {
         if !self.sealed {
             self.start(None);
         }
-        let deadline = self.now().saturating_add(max_cycles);
-        if self.cfg.step_threads >= 2 {
-            self.run_decomposed(LaneGoal::Completion { deadline });
-            return self.outcome();
-        }
-        'outer: while !self.all_complete() {
-            let Some(core) = self.frontier_core() else {
-                break;
-            };
-            if self.clocks[core] >= deadline {
-                break;
-            }
-            let limit = self.batch_limit(core, deadline);
-            let tid = self.ensure_current(core);
-            match self.hot_batch(core, tid, limit, true) {
-                HotExit::Quantum { gating_first } => {
-                    self.context_switch(core);
-                    if gating_first {
-                        continue 'outer;
-                    }
-                }
-                HotExit::GatingFirst => continue 'outer,
-                HotExit::Limit => {}
-            }
-        }
+        let stop_before = self.now().saturating_add(max_cycles);
+        self.run_lanes(
+            LaneGoal {
+                stop_before,
+                to_completion: true,
+            },
+            run_lane,
+        );
         self.outcome()
     }
 
-    /// Step every cache domain independently to `goal` — the decomposed
-    /// engine (`step_threads >= 2`).
+    /// Step every cache domain to `goal` — the one stepping engine.
     ///
     /// Each domain becomes a [`Lane`] owning disjoint slices of the
     /// machine (its cores' caches and DRAM channel, scheduler queues,
-    /// clocks, signature bank, jitter stream and threads), stepped by the
-    /// same hot loop as the serial engine but with domain-local frontier
-    /// and batch limits. Lanes share nothing, so the result depends only
-    /// on the domain decomposition: any worker count `>= 2` (and any
-    /// lane→worker assignment) produces bit-identical machines. Threads
-    /// are partitioned by their current core and restored afterwards —
-    /// affinity changes only ever happen between runs.
+    /// clocks, signature bank, jitter stream and threads), driven by
+    /// `step` with a domain-local frontier and batch limit. Lanes share
+    /// nothing, so the result depends only on the domain decomposition:
+    /// every `step_threads` value (and any lane→worker assignment)
+    /// produces bit-identical machines. Threads are partitioned by their
+    /// current core and restored afterwards — affinity changes only ever
+    /// happen between runs.
     ///
     /// In completion mode each lane stops when *its own* gating threads
     /// have completed once (a lane hosting only background threads does
     /// not run at all — there is no global frontier to pace it against).
-    fn run_decomposed(&mut self, goal: LaneGoal) {
+    ///
+    /// `step` is [`run_lane`] everywhere outside the tests, which pass the
+    /// per-op reference stepper to check the batched loop against.
+    fn run_lanes(
+        &mut self,
+        goal: LaneGoal,
+        step: impl Fn(&mut Lane<'_>, LaneGoal, LaneCtx<'_>) + Copy + Send,
+    ) {
         let domains = self.cfg.topology.domains();
         let n = self.threads.len();
         let lane_of: Vec<usize> = (0..n)
@@ -890,15 +655,13 @@ impl Machine {
             idx_of: &idx_of,
         };
         // Never spawn more workers than the host has CPUs: oversubscribing
-        // only adds OS switch thrash (output is worker-count-invariant, so
-        // clamping is free). The floor of 2 keeps the scoped-thread path
-        // real — the decomposed engine was explicitly requested — instead
-        // of silently degenerating to serial on single-CPU hosts.
+        // only adds OS switch thrash, and output is worker-count-invariant,
+        // so clamping is free.
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = self.cfg.step_threads.min(domains).min(host.max(2));
+        let workers = self.cfg.step_threads.min(domains).min(host);
         if workers <= 1 {
             for lane in &mut lanes {
-                run_lane(lane, goal, ctx);
+                step(lane, goal, ctx);
             }
         } else {
             // Static lane→worker partition (lane d → worker d % W). The
@@ -914,7 +677,7 @@ impl Machine {
                     .map(|mut bucket| {
                         s.spawn(move || {
                             for lane in &mut bucket {
-                                run_lane(lane, goal, ctx);
+                                step(lane, goal, ctx);
                             }
                             bucket
                         })
@@ -1058,27 +821,21 @@ impl Machine {
         self.switches
     }
 
-    /// Per-domain step batches executed by the decomposed engine
-    /// (0 when only the serial engine has run).
+    /// Hot-loop batches executed so far, summed over every domain lane
+    /// (engine-internal work, not simulated behaviour).
     pub fn par_domain_steps(&self) -> u64 {
         self.par_domain_steps
     }
 }
 
-/// What a decomposed run is driving toward.
+/// What a run is driving every lane toward.
 #[derive(Debug, Clone, Copy)]
-enum LaneGoal {
-    /// Advance every lane's frontier to the common `target` clock.
-    For {
-        /// Global clock every lane runs up to.
-        target: u64,
-    },
-    /// Run each lane until its own gating threads complete once, bounded
-    /// by `deadline`.
-    Completion {
-        /// Global clock bound.
-        deadline: u64,
-    },
+struct LaneGoal {
+    /// Global clock bound: a lane stops once its frontier reaches it.
+    stop_before: u64,
+    /// Also stop a lane as soon as its own gating threads have each
+    /// completed once (`run_to_completion`).
+    to_completion: bool,
 }
 
 /// Shared read-only context for domain lanes (configuration and the
@@ -1093,8 +850,7 @@ struct LaneCtx<'a> {
 }
 
 /// One cache domain's private slice of the machine, stepped independently
-/// by the decomposed engine. Mirrors the serial engine's state exactly,
-/// restricted to the domain's cores; see [`Machine::run_decomposed`].
+/// of every other domain; see [`Machine::run_lanes`].
 struct Lane<'a> {
     domain: usize,
     /// Global core ids of this domain (contiguous).
@@ -1119,7 +875,8 @@ impl Lane<'_> {
     }
 
     /// Lane-local frontier: the most-behind active core of this domain
-    /// (lowest index wins ties, as in [`Machine::frontier_core`]).
+    /// (first minimum of the active clocks — lowest index wins ties,
+    /// matching `min_by_key`).
     fn frontier_core(&self) -> Option<usize> {
         self.cores
             .clone()
@@ -1127,13 +884,19 @@ impl Lane<'_> {
             .min_by_key(|&c| self.clock(c))
     }
 
-    /// Lane-local batch limit (same invariant as [`Machine::batch_limit`],
-    /// quantified over this domain's cores only — other domains' clocks
-    /// are irrelevant because lanes never interact).
+    /// The largest value `core`'s clock may hold *before* an op such that
+    /// the op is one per-op stepping would also execute next: `core` must
+    /// still win the frontier tie-break against every other active core
+    /// of this domain (whose clocks cannot move during the batch — other
+    /// domains are irrelevant because lanes never interact) and stay
+    /// below `stop_before`. Requires `clock(core) < stop_before`.
     fn batch_limit(&self, core: usize, stop_before: u64) -> u64 {
         let mut limit = stop_before - 1;
         for c in self.cores.clone() {
             if c != core && self.sched.has_work(c) {
+                // Lower-index cores win ties, so `core` leads only while
+                // strictly behind them (their clock is >= 1 here because
+                // `core` is currently the frontier).
                 let v = if c < core {
                     self.clock(c) - 1
                 } else {
@@ -1145,6 +908,9 @@ impl Lane<'_> {
         limit
     }
 
+    /// The thread running on `core`, dispatching (and arming a jittered
+    /// quantum, cut down for reduced-share background threads) when the
+    /// core is between threads.
     fn ensure_current(&mut self, core: usize, ctx: LaneCtx<'_>) -> usize {
         match self.sched.current(core) {
             Some(t) => t,
@@ -1171,6 +937,8 @@ impl Lane<'_> {
         }
     }
 
+    /// Quantum expiry: take the signature sample, then preempt — or, for
+    /// a solo thread with no one to switch to, just re-arm the quantum.
     fn context_switch(&mut self, core: usize, ctx: LaneCtx<'_>) {
         let Some(cur) = self.sched.current(core) else {
             return;
@@ -1187,6 +955,10 @@ impl Lane<'_> {
         }
     }
 
+    /// Run the batched hot loop for `tid` on `core`: every per-op borrow
+    /// (thread, memory channel, signature sink, clock, quantum) is
+    /// resolved once here, then [`hot_run`] executes ops back to back.
+    /// Returns true when the quantum expired.
     fn hot_batch(
         &mut self,
         core: usize,
@@ -1194,7 +966,7 @@ impl Lane<'_> {
         limit: u64,
         stop_on_gating_first: bool,
         ctx: LaneCtx<'_>,
-    ) -> HotExit {
+    ) -> bool {
         let mut chan = self.mem.core_channel(core);
         let t = &mut self.threads[ctx.idx_of[tid]].1;
         let factory = &ctx.factories[tid];
@@ -1240,46 +1012,25 @@ impl Lane<'_> {
     }
 }
 
-/// Drive one lane to its goal — the lane-local image of the serial
-/// engine's outer loops in [`Machine::run_for`] /
-/// [`Machine::run_to_completion`].
+/// Drive one lane to its goal. The frontier scan and scheduler lookup are
+/// hoisted out of the op loop: while the dispatched thread stays the
+/// lane's frontier it runs in [`hot_run`], which breaks only on quantum
+/// expiry, on passing [`Lane::batch_limit`], or — in completion mode — at
+/// a gating first completion, the only event that can flip
+/// [`Lane::all_complete`].
 fn run_lane(lane: &mut Lane<'_>, goal: LaneGoal, ctx: LaneCtx<'_>) {
-    match goal {
-        LaneGoal::For { target } => {
-            while let Some(core) = lane.frontier_core() {
-                if lane.clock(core) >= target {
-                    break;
-                }
-                let limit = lane.batch_limit(core, target);
-                let tid = lane.ensure_current(core, ctx);
-                lane.steps += 1;
-                if let HotExit::Quantum { .. } = lane.hot_batch(core, tid, limit, false, ctx) {
-                    lane.context_switch(core, ctx);
-                }
-            }
+    while !(goal.to_completion && lane.all_complete()) {
+        let Some(core) = lane.frontier_core() else {
+            break;
+        };
+        if lane.clock(core) >= goal.stop_before {
+            break;
         }
-        LaneGoal::Completion { deadline } => {
-            'outer: while !lane.all_complete() {
-                let Some(core) = lane.frontier_core() else {
-                    break;
-                };
-                if lane.clock(core) >= deadline {
-                    break;
-                }
-                let limit = lane.batch_limit(core, deadline);
-                let tid = lane.ensure_current(core, ctx);
-                lane.steps += 1;
-                match lane.hot_batch(core, tid, limit, true, ctx) {
-                    HotExit::Quantum { gating_first } => {
-                        lane.context_switch(core, ctx);
-                        if gating_first {
-                            continue 'outer;
-                        }
-                    }
-                    HotExit::GatingFirst => continue 'outer,
-                    HotExit::Limit => {}
-                }
-            }
+        let limit = lane.batch_limit(core, goal.stop_before);
+        let tid = lane.ensure_current(core, ctx);
+        lane.steps += 1;
+        if lane.hot_batch(core, tid, limit, goal.to_completion, ctx) {
+            lane.context_switch(core, ctx);
         }
     }
 }
@@ -1287,7 +1038,133 @@ fn run_lane(lane: &mut Lane<'_>, goal: LaneGoal, ctx: LaneCtx<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use symbio_cache::Topology;
     use symbio_workloads::spec2006;
+
+    /// Per-op reference for [`run_lane`]: one [`exec_one`] at a time on
+    /// the lane's frontier core, the quantum charged through the scheduler
+    /// — no batching, no batch limit. Obviously-correct and slow.
+    fn reference_lane(lane: &mut Lane<'_>, goal: LaneGoal, ctx: LaneCtx<'_>) {
+        while !(goal.to_completion && lane.all_complete()) {
+            let Some(core) = lane.frontier_core() else {
+                break;
+            };
+            if lane.clock(core) >= goal.stop_before {
+                break;
+            }
+            let tid = lane.ensure_current(core, ctx);
+            let mut null = NullSink;
+            let sink: &mut dyn CacheEventSink = match lane.sig.as_deref_mut() {
+                Some(unit) => unit,
+                None => &mut null,
+            };
+            let (cost, _) = exec_one(
+                &mut lane.threads[ctx.idx_of[tid]].1,
+                &ctx.factories[tid],
+                &mut lane.mem.core_channel(core),
+                sink,
+                &mut lane.clocks[core - lane.cores.start],
+                ctx.cfg.virt,
+                ctx.cfg.timing,
+                ctx.cfg.paging,
+            );
+            if lane.sched.charge(core, cost) {
+                lane.context_switch(core, ctx);
+            }
+        }
+    }
+
+    /// Everything a run leaves behind that the simulation defines: core
+    /// clocks, switch count, per-thread counters, and the exported
+    /// signature vectors down to f64 bit patterns.
+    fn observables(m: &Machine) -> Vec<u64> {
+        let mut out = m.clocks.clone();
+        out.push(m.switches());
+        for t in &m.threads {
+            out.extend([
+                t.user_cycles,
+                t.mem_ops,
+                t.l2_accesses,
+                t.l2_misses,
+                t.retired,
+                u64::from(t.completions),
+            ]);
+        }
+        let snap = m.export_snapshot("oracle", 0).expect("threads placed");
+        out.push(snap.now_cycles);
+        for t in snap.threads() {
+            out.extend([
+                t.occupancy.to_bits(),
+                t.samples,
+                u64::from(t.last_occupancy),
+            ]);
+            out.extend(t.symbiosis.iter().map(|v| v.to_bits()));
+            out.extend(t.overlap.iter().map(|v| v.to_bits()));
+        }
+        out
+    }
+
+    proptest! {
+        /// The batched lane loop is cycle-identical to stepping one op at
+        /// a time, in slice mode (with a remap between slices) and through
+        /// to completion, native and virtualized (Dom0's reduced quantum
+        /// share included).
+        #[test]
+        fn batched_stepping_matches_per_op_reference(
+            domains in 1usize..5,
+            cores_per_domain in 1usize..3,
+            seed in 0u64..1_000_000,
+            slice in 1u64..120_000,
+            vm in any::<bool>(),
+        ) {
+            let mut cfg = if vm {
+                MachineConfig::scaled_vm(seed)
+            } else {
+                MachineConfig::scaled_core2duo(seed)
+            };
+            cfg.cores = domains * cores_per_domain;
+            cfg.topology = Topology::uniform(domains, cores_per_domain);
+            // Short quanta so a slice spans many context switches.
+            cfg.quantum = 30_000;
+            if let Some(v) = &mut cfg.virt {
+                v.quantum = 20_000;
+            }
+            let build = || {
+                let mut m = Machine::new(cfg);
+                for i in 0..2 * cfg.cores {
+                    m.add_process(&tiny_spec(&format!("p{i}"), 15_000 + 2_000 * i as u64));
+                }
+                m.start(None);
+                m
+            };
+            let (mut batched, mut reference) = (build(), build());
+            let managed = batched.managed_threads();
+            // Rotate every thread one core to the right between slices.
+            let rotated = Mapping::new((0..managed).map(|t| (t + 1) % cfg.cores).collect());
+            for round in 0..3 {
+                batched.run_for(slice);
+                let stop_before = reference.now().saturating_add(slice);
+                reference.run_lanes(
+                    LaneGoal { stop_before, to_completion: false },
+                    reference_lane,
+                );
+                prop_assert_eq!(observables(&batched), observables(&reference));
+                if round == 1 {
+                    batched.apply_mapping(&rotated);
+                    reference.apply_mapping(&rotated);
+                }
+            }
+            let out = batched.run_to_completion(2_000_000_000);
+            let stop_before = reference.now().saturating_add(2_000_000_000);
+            reference.run_lanes(
+                LaneGoal { stop_before, to_completion: true },
+                reference_lane,
+            );
+            prop_assert!(out.completed);
+            prop_assert_eq!(observables(&batched), observables(&reference));
+        }
+    }
 
     const L2: u64 = 256 << 10;
 

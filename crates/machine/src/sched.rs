@@ -8,7 +8,10 @@
 
 use std::collections::VecDeque;
 
-/// Round-robin scheduler state.
+/// Round-robin scheduler state. The whole-machine view owns placement
+/// (which queue a thread waits in); dispatching, quantum accounting and
+/// preemption happen through the per-domain [`SchedLane`]s that
+/// [`Scheduler::split_lanes`] hands to the stepping engine.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     queues: Vec<VecDeque<usize>>,
@@ -36,12 +39,6 @@ impl Scheduler {
         self.queues[core].push_back(tid);
     }
 
-    /// The thread currently on `core`.
-    #[inline]
-    pub fn current(&self, core: usize) -> Option<usize> {
-        self.running[core]
-    }
-
     /// Whether `core` has anything to run (running or queued).
     #[inline]
     pub fn has_work(&self, core: usize) -> bool {
@@ -54,43 +51,6 @@ impl Scheduler {
             .into_iter()
             .chain(self.queues[core].iter().copied())
             .collect()
-    }
-
-    /// Pop the next queued thread onto the core and arm its quantum.
-    /// Returns the dispatched tid, or `None` if the queue is empty.
-    pub fn dispatch(&mut self, core: usize, quantum: u64) -> Option<usize> {
-        debug_assert!(self.running[core].is_none());
-        let tid = self.queues[core].pop_front()?;
-        self.running[core] = Some(tid);
-        self.quantum_left[core] = quantum as i64;
-        Some(tid)
-    }
-
-    /// Re-arm the running quantum (used for solo threads and for
-    /// background threads with reduced quantum shares).
-    pub fn rearm(&mut self, core: usize, quantum: u64) {
-        self.quantum_left[core] = quantum as i64;
-    }
-
-    /// Charge `cycles` against the running quantum; true when it expired.
-    pub fn charge(&mut self, core: usize, cycles: u64) -> bool {
-        self.quantum_left[core] -= cycles as i64;
-        self.quantum_left[core] <= 0
-    }
-
-    /// Mutable handle on `core`'s remaining quantum, so the batched hot
-    /// loop can charge it without re-indexing per op (equivalent to
-    /// repeated [`Scheduler::charge`] calls).
-    #[inline]
-    pub fn quantum_cell(&mut self, core: usize) -> &mut i64 {
-        &mut self.quantum_left[core]
-    }
-
-    /// Deschedule the running thread back to its queue tail; returns it.
-    pub fn preempt(&mut self, core: usize) -> Option<usize> {
-        let tid = self.running[core].take()?;
-        self.queues[core].push_back(tid);
-        Some(tid)
     }
 
     /// Remove `tid` from wherever it lives (for an affinity move).
@@ -185,6 +145,7 @@ impl SchedLane<'_> {
     }
 
     /// Pop the next queued thread onto the core and arm its quantum.
+    /// Returns the dispatched tid, or `None` if the queue is empty.
     pub fn dispatch(&mut self, core: usize, quantum: u64) -> Option<usize> {
         let c = self.local(core);
         debug_assert!(self.running[c].is_none());
@@ -194,7 +155,8 @@ impl SchedLane<'_> {
         Some(tid)
     }
 
-    /// Re-arm the running quantum.
+    /// Re-arm the running quantum (used for solo threads and for
+    /// background threads with reduced quantum shares).
     #[inline]
     pub fn rearm(&mut self, core: usize, quantum: u64) {
         self.quantum_left[self.local(core)] = quantum as i64;
@@ -208,8 +170,9 @@ impl SchedLane<'_> {
         self.quantum_left[c] <= 0
     }
 
-    /// Mutable handle on `core`'s remaining quantum (see
-    /// [`Scheduler::quantum_cell`]).
+    /// Mutable handle on `core`'s remaining quantum, so the batched hot
+    /// loop can charge it without re-indexing per op (equivalent to
+    /// repeated [`SchedLane::charge`] calls).
     #[inline]
     pub fn quantum_cell(&mut self, core: usize) -> &mut i64 {
         let c = self.local(core);
@@ -236,13 +199,21 @@ impl SchedLane<'_> {
 mod tests {
     use super::*;
 
+    /// The whole scheduler as a single lane (one domain over every core).
+    #[allow(clippy::single_range_in_vec_init)] // one range, one lane
+    fn lane(s: &mut Scheduler) -> SchedLane<'_> {
+        let cores = s.cores();
+        s.split_lanes(&[0..cores]).pop().expect("one lane")
+    }
+
     #[test]
     fn dispatch_pops_fifo() {
         let mut s = Scheduler::new(1);
         s.enqueue(0, 5);
         s.enqueue(0, 7);
-        assert_eq!(s.dispatch(0, 100), Some(5));
-        assert_eq!(s.current(0), Some(5));
+        let mut l = lane(&mut s);
+        assert_eq!(l.dispatch(0, 100), Some(5));
+        assert_eq!(l.current(0), Some(5));
         assert_eq!(s.load(0), 2);
     }
 
@@ -250,9 +221,10 @@ mod tests {
     fn quantum_expires_after_charges() {
         let mut s = Scheduler::new(1);
         s.enqueue(0, 1);
-        s.dispatch(0, 100);
-        assert!(!s.charge(0, 60));
-        assert!(s.charge(0, 60), "overshoot ends the quantum");
+        let mut l = lane(&mut s);
+        l.dispatch(0, 100);
+        assert!(!l.charge(0, 60));
+        assert!(l.charge(0, 60), "overshoot ends the quantum");
     }
 
     #[test]
@@ -260,20 +232,21 @@ mod tests {
         let mut s = Scheduler::new(1);
         s.enqueue(0, 1);
         s.enqueue(0, 2);
-        s.dispatch(0, 10);
-        assert_eq!(s.preempt(0), Some(1));
-        assert_eq!(s.dispatch(0, 10), Some(2));
-        s.preempt(0);
-        assert_eq!(s.dispatch(0, 10), Some(1), "rotation returns to 1");
+        let mut l = lane(&mut s);
+        l.dispatch(0, 10);
+        assert_eq!(l.preempt(0), Some(1));
+        assert_eq!(l.dispatch(0, 10), Some(2));
+        l.preempt(0);
+        assert_eq!(l.dispatch(0, 10), Some(1), "rotation returns to 1");
     }
 
     #[test]
     fn remove_running_thread() {
         let mut s = Scheduler::new(2);
         s.enqueue(0, 3);
-        s.dispatch(0, 10);
+        lane(&mut s).dispatch(0, 10);
         assert_eq!(s.remove(3), Some((0, true)));
-        assert_eq!(s.current(0), None);
+        assert_eq!(s.threads_on(0), Vec::<usize>::new());
         assert!(!s.has_work(0));
     }
 
@@ -292,7 +265,7 @@ mod tests {
         let mut s = Scheduler::new(2);
         s.enqueue(1, 8);
         assert_eq!(s.core_of(8), Some(1));
-        s.dispatch(1, 10);
+        lane(&mut s).dispatch(1, 10);
         assert_eq!(s.core_of(8), Some(1));
         assert_eq!(s.core_of(9), None);
     }
@@ -313,10 +286,12 @@ mod tests {
             assert!(lanes[1].charge(2, 200), "quantum expires in lane");
             assert_eq!(lanes[1].preempt(2), Some(20));
         }
-        // Mutations through lanes land in the shared scheduler state.
-        assert_eq!(s.current(0), Some(10));
+        // Mutations through lanes land in the shared scheduler state:
+        // 10 is running on core 0, 20 is back in core 2's queue.
         assert_eq!(s.core_of(20), Some(2));
         assert_eq!(s.core_of(30), Some(3));
+        assert_eq!(s.remove(10), Some((0, true)));
+        assert_eq!(s.remove(20), Some((2, false)));
     }
 
     #[test]
@@ -324,7 +299,7 @@ mod tests {
         let mut s = Scheduler::new(1);
         s.enqueue(0, 1);
         s.enqueue(0, 2);
-        s.dispatch(0, 10);
+        lane(&mut s).dispatch(0, 10);
         assert_eq!(s.threads_on(0), vec![1, 2]);
     }
 }

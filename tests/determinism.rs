@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use symbio::prelude::*;
+use symbio_machine::ProcView;
 
 fn specs() -> Vec<WorkloadSpec> {
     let l2 = 256 << 10;
@@ -41,6 +42,75 @@ fn seeds_change_outcomes() {
     assert_ne!(run(1), run(2));
 }
 
+/// [`InterferenceGraphPolicy`] that also records the partition of every
+/// mapping it proposes, in order.
+#[derive(Default)]
+struct RecordingPolicy {
+    inner: InterferenceGraphPolicy,
+    proposed: Vec<Vec<Vec<usize>>>,
+}
+
+impl AllocationPolicy for RecordingPolicy {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn allocate(&mut self, views: &[ProcView], cores: usize) -> Mapping {
+        let mapping = self.inner.allocate(views, cores);
+        self.proposed.push(mapping.partition_key(cores));
+        mapping
+    }
+}
+
+/// A 2–2–1 phase-1 vote has exactly one winner per seed: the tally keeps
+/// first-proposed order and ties break oldest-first, so six profiles in
+/// one process agree (a `HashMap` tally picked at random here).
+#[test]
+fn tied_profile_vote_is_deterministic() {
+    let l2 = 256 << 10;
+    let mix: Vec<WorkloadSpec> = ["astar", "bzip2", "mcf", "soplex"]
+        .iter()
+        .map(|n| {
+            let mut s = spec2006::by_name(n, l2).unwrap();
+            s.work /= 4;
+            s
+        })
+        .collect();
+    let profile = || {
+        let mut policy = RecordingPolicy::default();
+        let r = Pipeline::new(ExperimentConfig::fast(1)).profile(&mix, &mut policy);
+        (r, policy.proposed)
+    };
+    let (first, proposed) = profile();
+    assert_eq!(
+        first.votes[0].1, first.votes[1].1,
+        "the mix must tie for this test to mean anything: {:?}",
+        first.votes
+    );
+    // Oldest-first: among equal counts, the partition proposed earlier
+    // comes first — so `votes` is the proposal order, stably sorted.
+    let mut expected: Vec<(Vec<Vec<usize>>, u32)> = Vec::new();
+    for key in &proposed {
+        match expected.iter_mut().find(|(k, _)| k == key) {
+            Some((_, c)) => *c += 1,
+            None => expected.push((key.clone(), 1)),
+        }
+    }
+    expected.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+    let got: Vec<(Vec<Vec<usize>>, u32)> = first
+        .votes
+        .iter()
+        .map(|(m, c)| (m.partition_key(2), *c))
+        .collect();
+    assert_eq!(got, expected);
+    assert_eq!(first.winner, first.votes[0].0);
+    for _ in 0..5 {
+        let (again, _) = profile();
+        assert_eq!(again.winner, first.winner);
+        assert_eq!(again.votes, first.votes);
+    }
+}
+
 // ---------------------------------------------------------------- golden
 
 /// FNV-1a over a stream of u64s — stable, dependency-free digest.
@@ -66,15 +136,10 @@ enum RefMachine {
     PrivateL2,
 }
 
-/// Digest every observable the kernel produces for a reference run: the
+/// Digest every observable the kernel produces for a reference run on
+/// `threads` stepping threads (`MachineConfig::step_threads`): the
 /// frontier clock, machine-wide L2 traffic, per-process user/wall cycles
 /// and per-thread memory-op / L2 counters.
-fn kernel_digest(machine: RefMachine, policy: ReplacementPolicy) -> u64 {
-    kernel_digest_threads(machine, policy, 1)
-}
-
-/// [`kernel_digest`] with an explicit engine selection
-/// (`MachineConfig::step_threads`; 1 = the serial legacy engine).
 fn kernel_digest_threads(machine: RefMachine, policy: ReplacementPolicy, threads: usize) -> u64 {
     let mut cfg = match machine {
         RefMachine::SharedL2 => MachineConfig::scaled_core2duo(0xD1CE),
@@ -111,9 +176,12 @@ fn kernel_digest_threads(machine: RefMachine, policy: ReplacementPolicy, threads
     fnv1a(stream)
 }
 
-/// Golden digests captured from the pre-refactor (PR 1) kernel on the
-/// reference 4-benchmark mix. The flat-cache/batched-stepping kernel must
-/// stay cycle-identical: any change to these values is a behavioural
+/// Stepping-thread counts every golden is checked at: output depends on
+/// the domain decomposition only, never on how many OS threads drive it.
+const STEP_THREADS: [usize; 3] = [1, 2, 4];
+
+/// Golden digests on the reference 4-benchmark mix. The kernel must stay
+/// cycle-identical: any change to these values is a behavioural
 /// regression, not a tuning knob.
 #[test]
 fn kernel_digest_matches_golden() {
@@ -150,70 +218,62 @@ fn kernel_digest_matches_golden() {
         ),
     ];
     for (machine, policy, golden) in cases {
-        let got = kernel_digest(machine, policy);
+        for threads in STEP_THREADS {
+            let got = kernel_digest_threads(machine, policy, threads);
+            assert_eq!(
+                got, golden,
+                "kernel digest drifted for {machine:?}/{policy:?} at step_threads {threads}: \
+                 got {got:#018x}, golden {golden:#018x}"
+            );
+        }
+    }
+}
+
+// The shared-L2 (single-domain) goldens were captured from the PR 1
+// kernel and have never moved. The private-L2 (one domain per core)
+// goldens were re-pinned once, by PR 15, when the coupled serial engine
+// (one global frontier, one DRAM channel and one jitter stream across
+// all domains) was deleted and every run became per-domain lanes: each
+// new value is what the parent commit (afc7ac9) already printed for
+// `kernel_digest_threads(RefMachine::PrivateL2, policy, 2)`, read off by
+// running that commit's `cargo test --release -p symbio --test
+// determinism` with a `println!` of those three calls.
+//
+//   policy   serial engine (old)    per-domain lanes (new)
+//   LRU      0xb03f55240a801417     0x440e6e0f3b51b471
+//   FIFO     0x8ea2bace247dd30d     0x8d2b802d33bc9281
+//   RANDOM   0xefad19879a088bbd     0x9a7e1f6aa271aeee
+const GOLDEN_SHARED_LRU: u64 = 0x5824d883bbc8a019;
+const GOLDEN_SHARED_FIFO: u64 = 0xeb57fa7d8dbf1716;
+const GOLDEN_SHARED_RANDOM: u64 = 0x342b170ef926cb92;
+const GOLDEN_PRIVATE_LRU: u64 = 0x440e6e0f3b51b471;
+const GOLDEN_PRIVATE_FIFO: u64 = 0x8d2b802d33bc9281;
+const GOLDEN_PRIVATE_RANDOM: u64 = 0x9a7e1f6aa271aeee;
+
+/// A single-domain machine is one lane; the shared-L2 golden that
+/// predates lanes must hold verbatim at any stepping-thread count.
+#[test]
+fn decomposed_single_domain_matches_serial_golden() {
+    for threads in STEP_THREADS {
+        let got = kernel_digest_threads(RefMachine::SharedL2, ReplacementPolicy::Lru, threads);
         assert_eq!(
-            got, golden,
-            "kernel digest drifted for {machine:?}/{policy:?}: \
-             got {got:#018x}, golden {golden:#018x}"
+            got, GOLDEN_SHARED_LRU,
+            "single-domain digest drifted at step_threads {threads}: got {got:#018x}"
         );
     }
 }
 
-const GOLDEN_SHARED_LRU: u64 = 0x5824d883bbc8a019;
-const GOLDEN_SHARED_FIFO: u64 = 0xeb57fa7d8dbf1716;
-const GOLDEN_SHARED_RANDOM: u64 = 0x342b170ef926cb92;
-const GOLDEN_PRIVATE_LRU: u64 = 0xb03f55240a801417;
-const GOLDEN_PRIVATE_FIFO: u64 = 0x8ea2bace247dd30d;
-const GOLDEN_PRIVATE_RANDOM: u64 = 0xefad19879a088bbd;
-
-// ------------------------------------------------- decomposed engine
-
-/// Pinned digest of the decomposed (parallel) engine on the private-L2
-/// reference machine at LRU. The decomposed engine gives every cache
-/// domain its own jitter stream, so multi-domain machines legitimately
-/// diverge from the serial golden — this constant pins that output
-/// instead, and must be identical for every worker count `>= 2`.
-const GOLDEN_PRIVATE_DECOMPOSED_LRU: u64 = 0x440e6e0f3b51b471;
-
-/// Worker count for the decomposed golden run: `SYMBIO_STEP_THREADS` if
-/// set (the CI bench-smoke leg runs the suite at 4), else 2.
-fn env_step_threads() -> usize {
-    std::env::var("SYMBIO_STEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t| t >= 2)
-        .unwrap_or(2)
-}
-
-/// A single-domain machine has one lane, so the decomposed engine is the
-/// serial engine with extra bookkeeping: the shared-L2 golden digest must
-/// hold verbatim at any worker count.
-#[test]
-fn decomposed_single_domain_matches_serial_golden() {
-    let got = kernel_digest_threads(
-        RefMachine::SharedL2,
-        ReplacementPolicy::Lru,
-        env_step_threads(),
-    );
-    assert_eq!(
-        got, GOLDEN_SHARED_LRU,
-        "decomposed single-domain digest drifted from the serial golden"
-    );
-}
-
-/// Multi-domain decomposed output is pinned separately (per-domain jitter
-/// streams) and must not depend on the worker count.
+/// Multi-domain output (per-domain DRAM channel, jitter stream and
+/// completion) is pinned and must not depend on the stepping-thread count.
 #[test]
 fn decomposed_multi_domain_digest_is_pinned() {
-    let got = kernel_digest_threads(
-        RefMachine::PrivateL2,
-        ReplacementPolicy::Lru,
-        env_step_threads(),
-    );
-    assert_eq!(
-        got, GOLDEN_PRIVATE_DECOMPOSED_LRU,
-        "decomposed private-L2 digest drifted: got {got:#018x}"
-    );
+    for threads in STEP_THREADS {
+        let got = kernel_digest_threads(RefMachine::PrivateL2, ReplacementPolicy::Lru, threads);
+        assert_eq!(
+            got, GOLDEN_PRIVATE_LRU,
+            "private-L2 digest drifted at step_threads {threads}: got {got:#018x}"
+        );
+    }
 }
 
 // --------------------------------------- parallel stepping equivalence
@@ -264,11 +324,9 @@ fn stepped_digest(cfg: MachineConfig) -> u64 {
 }
 
 proptest! {
-    /// The decomposed engine's output depends only on the domain
-    /// decomposition, never on the worker count — and collapses to the
-    /// serial engine exactly when there is a single domain (multi-domain
-    /// serial runs share one jitter stream, so they are pinned separately
-    /// by [`decomposed_multi_domain_digest_is_pinned`]).
+    /// The engine's output depends only on the domain decomposition,
+    /// never on how many stepping threads drive the lanes — one thread
+    /// running them inline included.
     #[test]
     fn parallel_stepping_is_worker_count_invariant(
         domains in 1usize..9,
@@ -283,11 +341,9 @@ proptest! {
             c.step_threads = threads;
             stepped_digest(c)
         };
-        let d2 = digest_at(2);
-        prop_assert_eq!(d2, digest_at(4));
-        if domains == 1 {
-            prop_assert_eq!(digest_at(1), d2);
-        }
+        let d1 = digest_at(1);
+        prop_assert_eq!(d1, digest_at(2));
+        prop_assert_eq!(d1, digest_at(4));
     }
 }
 

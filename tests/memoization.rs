@@ -105,3 +105,38 @@ fn shared_cache_saves_simulations_across_policies() {
         assert_eq!(base.user_cycles, shared.user_cycles);
     }
 }
+
+#[test]
+fn step_threads_share_one_cache_entry() {
+    // How many OS threads drive the lanes cannot change a measurement, so
+    // it is not part of the memo key: the second pipeline replays the
+    // first one's entry, and that entry is what it would have simulated.
+    let machine = MachineConfig::scaled_multidomain(9, 2);
+    let cfg_at = |threads| {
+        ExperimentConfigBuilder::fast(9)
+            .machine(machine)
+            .step_threads(threads)
+            .build()
+            .unwrap()
+    };
+    let mut specs = small_pool();
+    specs.truncate(4);
+    let mapping = Mapping::round_robin(4, machine.cores);
+
+    let cache = Arc::new(MeasureCache::new());
+    let one = Pipeline::new(cfg_at(1)).with_memo(Arc::clone(&cache));
+    let two = Pipeline::new(cfg_at(2)).with_memo(Arc::clone(&cache));
+    let a = one.measure(&specs, &mapping);
+    let b = two.measure(&specs, &mapping);
+    assert_eq!((cache.len(), cache.misses(), cache.hits()), (1, 1, 1));
+    assert_eq!(
+        two.counters().snapshot().sim_runs,
+        0,
+        "replayed, not re-run"
+    );
+
+    let unmemoized = Pipeline::new(cfg_at(2)).measure(&specs, &mapping);
+    let json = |o: &symbio_machine::RunOutcome| serde_json::to_string(o).unwrap();
+    assert_eq!(json(&a), json(&b));
+    assert_eq!(json(&a), json(&unmemoized));
+}
