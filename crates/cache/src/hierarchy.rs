@@ -45,23 +45,18 @@ pub struct AccessResponse {
 pub struct MemorySystem {
     topology: Topology,
     cores: usize,
-    l1: Vec<SetAssocCache>,
-    /// One L2 per domain.
-    l2: Vec<SetAssocCache>,
     /// Global core id → owning domain.
     domain_of: Vec<usize>,
-    /// Domain → first global core id.
-    domain_start: Vec<usize>,
-    /// One DRAM channel per domain: a domain's misses queue only behind
-    /// its own, so domains share no mutable state and can be stepped
-    /// independently ([`MemorySystem::domain_mems`]).
-    dram: Vec<Dram>,
+    /// Domain-major: everything an access can write belongs to exactly one
+    /// [`DomainMem`], so domains can be stepped independently
+    /// ([`MemorySystem::domains_mut`]).
+    domains: Vec<DomainMem>,
 }
 
 impl MemorySystem {
     /// Build a memory system over `topology`. `l2_geo` is the geometry of
     /// *each* domain L2, and every domain gets its own copy of the `dram`
-    /// channel model.
+    /// channel model: a domain's misses queue only behind its own.
     ///
     /// Seeding: a single-domain machine seeds its L2 with `seed ^ 0x12`
     /// and a multi-domain machine seeds domain `d` with `seed ^ (0x100 + d)`
@@ -78,33 +73,33 @@ impl MemorySystem {
     ) -> Self {
         let cores = topology.cores();
         assert!(cores >= 1);
-        let l1 = (0..cores)
-            .map(|i| SetAssocCache::new(l1_geo, policy, 1, seed ^ (i as u64 + 1)))
-            .collect();
-        let l2: Vec<SetAssocCache> = (0..topology.domains())
+        let domains = (0..topology.domains())
             .map(|d| {
                 let l2_seed = if topology.is_single() {
                     seed ^ 0x12
                 } else {
                     seed ^ (0x100 + d as u64)
                 };
-                // Every domain L2 keeps one stats slot per *global* core:
-                // stats stay addressable by global id from any layer above.
-                SetAssocCache::new(l2_geo, policy, cores, l2_seed)
+                DomainMem {
+                    l1: topology
+                        .core_range(d)
+                        .map(|i| SetAssocCache::new(l1_geo, policy, 1, seed ^ (i as u64 + 1)))
+                        .collect(),
+                    // Every domain L2 keeps one stats slot per *global*
+                    // core: stats stay addressable by global id from any
+                    // layer above.
+                    l2: SetAssocCache::new(l2_geo, policy, cores, l2_seed),
+                    dram: dram.clone(),
+                    core_start: topology.core_start(d),
+                    line_shift: l2_geo.line_shift(),
+                }
             })
-            .collect();
-        let domain_of = (0..cores).map(|c| topology.domain_of(c)).collect();
-        let domain_start = (0..topology.domains())
-            .map(|d| topology.core_start(d))
             .collect();
         MemorySystem {
             topology,
             cores,
-            l1,
-            l2,
-            domain_of,
-            domain_start,
-            dram: vec![dram; topology.domains()],
+            domain_of: (0..cores).map(|c| topology.domain_of(c)).collect(),
+            domains,
         }
     }
 
@@ -130,9 +125,10 @@ impl MemorySystem {
         self.cores
     }
 
+    /// The slice (global) `core` belongs to.
     #[inline]
-    fn l2_index(&self, core: usize) -> usize {
-        self.domain_of[core]
+    fn mem_of(&self, core: usize) -> &DomainMem {
+        &self.domains[self.domain_of[core]]
     }
 
     /// Access the hierarchy on behalf of (global) `core` at cycle `now`.
@@ -162,109 +158,107 @@ impl MemorySystem {
     /// mutably borrowed elsewhere.
     #[inline]
     pub fn core_channel(&mut self, core: usize) -> CoreChannel<'_> {
-        let l2i = self.l2_index(core);
-        let l2 = &mut self.l2[l2i];
-        CoreChannel {
-            line_shift: l2.geometry().line_shift(),
-            l1: &mut self.l1[core],
-            l2,
-            dram: &mut self.dram[l2i],
-            core,
-            local_core: core - self.domain_start[l2i],
-        }
+        self.domains[self.domain_of[core]].core_channel(core)
     }
 
-    /// Split the whole memory system into one independent [`DomainMem`]
-    /// per domain.
-    pub fn domain_mems(&mut self) -> Vec<DomainMem<'_>> {
-        let mut out = Vec::with_capacity(self.l2.len());
-        let mut l1_rest = self.l1.as_mut_slice();
-        let mut taken = 0;
-        for ((d, l2), dram) in self.l2.iter_mut().enumerate().zip(&mut self.dram) {
-            let range = self.topology.core_range(d);
-            let (head, tail) = l1_rest.split_at_mut(range.end - taken);
-            l1_rest = tail;
-            taken = range.end;
-            out.push(DomainMem {
-                line_shift: l2.geometry().line_shift(),
-                l1: head,
-                l2,
-                dram,
-                core_start: range.start,
-            });
-        }
-        out
+    /// The per-domain slices, in domain order: disjoint, so each can be
+    /// stepped on its own worker thread.
+    pub fn domains_mut(&mut self) -> &mut [DomainMem] {
+        &mut self.domains
+    }
+
+    /// Domain `d`'s slice (stats, layout probes).
+    pub fn domain(&self, d: usize) -> &DomainMem {
+        &self.domains[d]
     }
 
     /// L1 stats for a core.
     pub fn l1_stats(&self, core: usize) -> &CacheStats {
-        self.l1[core].stats(0)
+        self.mem_of(core).l1(core).stats(0)
     }
 
     /// L2 stats as seen from a (global) core: its slice of its domain L2.
     pub fn l2_stats(&self, core: usize) -> &CacheStats {
-        let l2i = self.l2_index(core);
-        self.l2[l2i].stats(core)
+        self.mem_of(core).l2.stats(core)
     }
 
     /// Ground-truth count of L2 lines currently owned by `core`.
     pub fn l2_resident_of(&self, core: usize) -> u64 {
-        self.l2[self.l2_index(core)].resident_lines_of(core)
+        self.mem_of(core).l2.resident_lines_of(core)
     }
 
     /// Ground-truth count of valid lines across every domain L2.
     pub fn l2_resident_total(&self) -> u64 {
-        self.l2.iter().map(|c| c.resident_lines()).sum()
+        self.domains.iter().map(|d| d.l2.resident_lines()).sum()
     }
 
     /// The L2 geometry (identical across domains).
     pub fn l2_geometry(&self) -> &CacheGeometry {
-        self.l2[0].geometry()
+        self.domains[0].l2.geometry()
     }
 
     /// Domain 0's DRAM channel model (e.g. for bandwidth reporting) — the
     /// only channel on a single-domain system.
     pub fn dram(&self) -> &Dram {
-        &self.dram[0]
+        &self.domains[0].dram
     }
 
     /// Total DRAM requests summed over every channel.
     pub fn dram_requests_total(&self) -> u64 {
-        self.dram.iter().map(Dram::requests).sum()
+        self.domains.iter().map(|d| d.dram.requests()).sum()
     }
 
     /// Flush all caches and reset DRAM queue state (stats retained).
     pub fn flush(&mut self) {
-        for c in &mut self.l1 {
-            c.flush();
-        }
-        for c in &mut self.l2 {
-            c.flush();
-        }
-        for d in &mut self.dram {
-            d.reset();
+        for d in &mut self.domains {
+            for c in &mut d.l1 {
+                c.flush();
+            }
+            d.l2.flush();
+            d.dram.reset();
         }
     }
 }
 
-/// One domain's independent slice of the memory system: the domain's
-/// private L1s, its shared L2, and its own DRAM channel. Produced by
-/// [`MemorySystem::domain_mems`]; the slices are disjoint across domains,
-/// so each `DomainMem` can be stepped on its own worker thread.
-#[derive(Debug)]
-pub struct DomainMem<'a> {
-    l1: &'a mut [SetAssocCache],
-    l2: &'a mut SetAssocCache,
-    dram: &'a mut Dram,
+/// One domain's slice of the memory system: the domain's private L1s, its
+/// shared L2, and its own DRAM channel.
+///
+/// The L2 and the channel sit inline and the struct takes
+/// [`SetAssocCache`]'s 128-byte alignment (so do the L1s in their table):
+/// the words an access writes in one domain (`tick`, the replacement
+/// stream, `next_free`, …) never share a cache line with another domain's
+/// (DESIGN §12, "What a lane may share").
+#[derive(Debug, Clone)]
+pub struct DomainMem {
+    l1: Vec<SetAssocCache>,
+    l2: SetAssocCache,
+    dram: Dram,
     core_start: usize,
     line_shift: u32,
 }
 
-impl DomainMem<'_> {
+const _: () = assert!(std::mem::align_of::<DomainMem>() >= 128);
+
+impl DomainMem {
     /// First global core id of this domain.
     #[inline]
     pub fn core_start(&self) -> usize {
         self.core_start
+    }
+
+    /// The private L1 of one of this domain's cores (global id).
+    pub fn l1(&self, core: usize) -> &SetAssocCache {
+        &self.l1[core - self.core_start]
+    }
+
+    /// The domain's shared L2.
+    pub fn l2(&self) -> &SetAssocCache {
+        &self.l2
+    }
+
+    /// The domain's DRAM channel.
+    pub fn dram(&self) -> &Dram {
+        &self.dram
     }
 
     /// Borrow-split channel for one of this domain's cores (global id).
@@ -273,8 +267,8 @@ impl DomainMem<'_> {
         let local = core - self.core_start;
         CoreChannel {
             l1: &mut self.l1[local],
-            l2: self.l2,
-            dram: self.dram,
+            l2: &mut self.l2,
+            dram: &mut self.dram,
             core,
             local_core: local,
             line_shift: self.line_shift,

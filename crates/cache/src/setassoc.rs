@@ -40,7 +40,15 @@ pub struct AccessOutcome {
 /// All lines live in one flat [`LineStore`] (tags / packed metadata /
 /// stamps indexed by `set * ways + way`) with running occupancy counters,
 /// so footprint queries are O(1) instead of a scan over every set.
+///
+/// Aligned to 128 bytes (two 64-byte lines: the adjacent-line prefetcher
+/// pulls them in pairs): every access writes `tick`, the replacement
+/// stream and the line store's counters, and the memory system keeps its
+/// caches per domain, so the alignment is what keeps one domain's cache
+/// headers off the lines of another's when different threads step them
+/// (DESIGN §12, "What a lane may share").
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub struct SetAssocCache {
     geo: CacheGeometry,
     policy: ReplacementPolicy,

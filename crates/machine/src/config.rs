@@ -79,11 +79,11 @@ pub struct MachineConfig {
     pub seed: u64,
     /// OS threads that drive the stepping engine. Every run steps one
     /// lane per cache domain (its own frontier, DRAM channel and jitter
-    /// stream) and merges the lanes in domain order; this only picks how
-    /// many scoped worker threads the lanes are spread over —
-    /// `min(step_threads, domains, host CPUs)`, with `1` (the default
-    /// everywhere) running them inline in domain order. Output depends
-    /// only on the domain decomposition, never on this value.
+    /// stream); this only picks how many threads the lanes are spread
+    /// over, the caller included — `min(step_threads, domains, host
+    /// CPUs)`, with `1` (the default everywhere) running them inline in
+    /// domain order. Output depends only on the domain decomposition,
+    /// never on this value.
     pub step_threads: usize,
 }
 

@@ -2,7 +2,7 @@
 
 use crate::config::{MachineConfig, VirtConfig};
 use crate::mapping::Mapping;
-use crate::sched::{SchedLane, Scheduler};
+use crate::sched::SchedLane;
 use crate::thread::{ProcView, Thread, ThreadView};
 use crate::timing::TimingModel;
 use serde::{Deserialize, Serialize};
@@ -237,34 +237,64 @@ fn hot_run<S: CacheEventSink + ?Sized>(
 pub struct Machine {
     cfg: MachineConfig,
     mem: MemorySystem,
-    /// One signature unit per cache domain (empty when the signature is
-    /// disabled). Each bank is sized to its own domain's core count and
-    /// sees domain-local core ids.
-    sig: Vec<SignatureUnit>,
+    /// Everything stepping writes besides the caches and the threads, one
+    /// block per cache domain.
+    domains: Vec<DomainBlock>,
     /// Global core id → owning cache domain.
     domain_of: Vec<usize>,
-    /// Domain → first global core id.
-    domain_start: Vec<usize>,
-    sched: Scheduler,
     threads: Vec<Thread>,
     factories: Vec<GenFactory>,
     quantum_divisor: Vec<u64>,
     proc_names: Vec<String>,
     proc_threads: Vec<Vec<usize>>,
     gating_procs: usize,
-    clocks: Vec<u64>,
-    switches: u64,
-    /// One quantum-jitter stream per cache domain, so lanes stay
-    /// independent. Domain 0 is seeded with the historical single-stream
-    /// formula, which keeps every single-domain golden digest unchanged.
-    jitter: Vec<u64>,
-    /// Per-domain signature-sample buffer: context switches are the most
-    /// frequent non-op event, and with this (plus the unit's RBV scratch)
-    /// they stay off the allocator entirely.
-    lane_scratch: Vec<SignatureSample>,
-    /// Hot-loop batches executed, summed over every domain lane.
-    par_domain_steps: u64,
+    /// CPUs this process may run on, read once: the worker-count clamp of
+    /// [`Machine::run_lanes`] (an affinity query per `run_for` costs more
+    /// than a short slice).
+    host_cpus: usize,
     sealed: bool,
+}
+
+/// One cache domain's share of the machine's stepping state: whatever a
+/// lane writes while it steps, other than the caches ([`DomainMem`]) and
+/// the threads it carries. Blocks are 128-byte aligned (two 64-byte lines:
+/// the adjacent-line prefetcher pulls them in pairs), so no two lanes —
+/// possibly on different stepping threads — ever write the same cache line
+/// (DESIGN §12, "What a lane may share").
+#[derive(Debug)]
+#[repr(align(128))]
+struct DomainBlock {
+    /// Run queues, remaining quanta and clocks of the domain's cores.
+    sched: SchedLane,
+    /// The domain's signature unit (`None` when the signature is
+    /// disabled), sized to the domain's core count and fed domain-local
+    /// core ids.
+    sig: Option<SignatureUnit>,
+    /// The domain's quantum-jitter stream, so lanes stay independent.
+    jitter: u64,
+    /// Signature-sample buffer: context switches are the most frequent
+    /// non-op event, and with this (plus the unit's RBV scratch) they stay
+    /// off the allocator entirely.
+    scratch: SignatureSample,
+    /// Context switches performed on this domain's cores.
+    switches: u64,
+    /// Hot-loop batches executed by this domain's lane.
+    steps: u64,
+}
+
+impl DomainBlock {
+    /// Sample the signature of `t` as it leaves `core` and fold it into
+    /// the thread's context. The domain's bank indexes cores locally; the
+    /// sampled per-core vectors therefore stay domain-local, but the core
+    /// *label* on the sample is the global id so `ThreadView::last_core`
+    /// keeps machine-wide meaning.
+    fn take_sample(&mut self, core: usize, t: &mut Thread) {
+        if let Some(sig) = &mut self.sig {
+            sig.switch_out_into(core - self.sched.cores().start, &mut self.scratch);
+            self.scratch.core = core;
+            t.sig.update(&self.scratch);
+        }
+    }
 }
 
 impl Machine {
@@ -285,51 +315,36 @@ impl Machine {
             Dram::new(cfg.dram.0, cfg.dram.1),
             cfg.seed,
         );
-        let sig = if cfg.signature.is_some() {
-            (0..cfg.topology.domains())
-                .map(|d| {
-                    let bank = cfg
-                        .signature_config_for(cfg.topology.domain(d).cores)
-                        .expect("signature enabled");
-                    SignatureUnit::new(bank)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let domain_of = (0..cfg.cores).map(|c| cfg.topology.domain_of(c)).collect();
-        let domain_start = (0..cfg.topology.domains())
-            .map(|d| cfg.topology.core_start(d))
-            .collect();
-        let domains = cfg.topology.domains();
-        // Domain 0 keeps the historical seeding (and therefore every
-        // single-domain golden digest); further domains mix the domain
-        // id in.
-        let jitter = (0..domains)
-            .map(|d| {
-                cfg.seed
+        let domains = (0..cfg.topology.domains())
+            .map(|d| DomainBlock {
+                sched: SchedLane::new(cfg.topology.core_range(d)),
+                sig: cfg
+                    .signature_config_for(cfg.topology.domain(d).cores)
+                    .map(SignatureUnit::new),
+                // Domain 0 keeps the historical single-stream seeding (and
+                // therefore every single-domain golden digest); further
+                // domains mix the domain id in.
+                jitter: cfg
+                    .seed
                     .wrapping_add((d as u64).wrapping_mul(0xA0761D6478BD642F))
                     .wrapping_mul(0x9E3779B97F4A7C15)
-                    | 1
+                    | 1,
+                scratch: SignatureSample::default(),
+                switches: 0,
+                steps: 0,
             })
             .collect();
         Machine {
             mem,
-            sig,
-            domain_of,
-            domain_start,
-            sched: Scheduler::new(cfg.cores),
+            domains,
+            domain_of: (0..cfg.cores).map(|c| cfg.topology.domain_of(c)).collect(),
             threads: Vec::new(),
             factories: Vec::new(),
             quantum_divisor: Vec::new(),
             proc_names: Vec::new(),
             proc_threads: Vec::new(),
             gating_procs: 0,
-            clocks: vec![0; cfg.cores],
-            switches: 0,
-            jitter,
-            lane_scratch: (0..domains).map(|_| SignatureSample::default()).collect(),
-            par_domain_steps: 0,
+            host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cfg,
             sealed: false,
         }
@@ -439,11 +454,11 @@ impl Machine {
         );
         for (tid, core) in mapping.iter() {
             assert!(core < self.cfg.cores);
-            self.sched.enqueue(core, tid);
+            self.sched_mut(core).enqueue(core, tid);
         }
         // Background threads (everything after `managed`) go to core 0.
         for tid in managed..self.threads.len() {
-            self.sched.enqueue(0, tid);
+            self.sched_mut(0).enqueue(0, tid);
         }
     }
 
@@ -462,24 +477,36 @@ impl Machine {
         assert!(self.sealed, "start() the machine before remapping");
         for (tid, target) in mapping.iter() {
             debug_assert!(self.threads[tid].counts_for_completion);
-            if self.sched.core_of(tid) == Some(target) {
+            if self.core_of(tid) == Some(target) {
                 continue;
             }
-            if let Some((old_core, was_running)) = self.sched.remove(tid) {
-                if was_running {
-                    self.take_signature_sample(old_core, tid);
-                    self.clocks[old_core] += self.switch_cost();
-                    self.switches += 1;
-                }
+            let removed = self.domains.iter_mut().find_map(|b| b.sched.remove(tid));
+            if let Some((old_core, true)) = removed {
+                let cost = switch_cost_of(&self.cfg);
+                let block = &mut self.domains[self.domain_of[old_core]];
+                block.take_sample(old_core, &mut self.threads[tid]);
+                *block.sched.clock_mut(old_core) += cost;
+                block.switches += 1;
             }
-            self.sched.enqueue(target, tid);
+            self.sched_mut(target).enqueue(target, tid);
             // A previously idle core inherits the frontier clock so the
             // migrated thread does not "time travel".
             let frontier = self.active_min_clock().unwrap_or(0);
-            if self.clocks[target] < frontier && self.sched.load(target) == 1 {
-                self.clocks[target] = frontier;
+            let sched = self.sched_mut(target);
+            if sched.clock(target) < frontier && sched.load(target) == 1 {
+                *sched.clock_mut(target) = frontier;
             }
         }
+    }
+
+    /// The scheduler lane owning (global) `core`.
+    fn sched_mut(&mut self, core: usize) -> &mut SchedLane {
+        &mut self.domains[self.domain_of[core]].sched
+    }
+
+    /// The core `tid` is currently assigned to, if any.
+    fn core_of(&self, tid: usize) -> Option<usize> {
+        self.domains.iter().find_map(|b| b.sched.core_of(tid))
     }
 
     /// Current thread→core assignment of managed threads.
@@ -487,41 +514,28 @@ impl Machine {
         let managed = self.managed_threads();
         Mapping::new(
             (0..managed)
-                .map(|tid| self.sched.core_of(tid).expect("managed thread placed"))
+                .map(|tid| self.core_of(tid).expect("managed thread placed"))
                 .collect(),
         )
     }
 
-    fn switch_cost(&self) -> u64 {
-        switch_cost_of(&self.cfg)
-    }
-
-    fn take_signature_sample(&mut self, core: usize, tid: usize) {
-        let d = self.domain_of[core];
-        if let Some(sig) = self.sig.get_mut(d) {
-            // The domain's bank indexes cores locally; the sampled
-            // per-core vectors therefore stay domain-local, but the core
-            // *label* on the sample is restored to the global id so
-            // `ThreadView::last_core` keeps machine-wide meaning.
-            let scratch = &mut self.lane_scratch[d];
-            sig.switch_out_into(core - self.domain_start[d], scratch);
-            scratch.core = core;
-            self.threads[tid].sig.update(scratch);
-        }
-    }
-
     fn active_min_clock(&self) -> Option<u64> {
-        (0..self.cfg.cores)
-            .filter(|&c| self.sched.has_work(c))
-            .map(|c| self.clocks[c])
+        self.domains
+            .iter()
+            .filter_map(|b| b.sched.frontier_core().map(|c| b.sched.clock(c)))
             .min()
     }
 
     /// The simulation frontier: the smallest clock among active cores (or
     /// the largest clock overall when everything is idle).
     pub fn now(&self) -> u64 {
-        self.active_min_clock()
-            .unwrap_or_else(|| self.clocks.iter().copied().max().unwrap_or(0))
+        self.active_min_clock().unwrap_or_else(|| {
+            self.domains
+                .iter()
+                .flat_map(|b| b.sched.cores().map(|c| b.sched.clock(c)))
+                .max()
+                .unwrap_or(0)
+        })
     }
 
     /// Run until the frontier advances by `cycles` (or work runs out):
@@ -567,15 +581,15 @@ impl Machine {
 
     /// Step every cache domain to `goal` — the one stepping engine.
     ///
-    /// Each domain becomes a [`Lane`] owning disjoint slices of the
-    /// machine (its cores' caches and DRAM channel, scheduler queues,
-    /// clocks, signature bank, jitter stream and threads), driven by
-    /// `step` with a domain-local frontier and batch limit. Lanes share
-    /// nothing, so the result depends only on the domain decomposition:
-    /// every `step_threads` value (and any lane→worker assignment)
-    /// produces bit-identical machines. Threads are partitioned by their
-    /// current core and restored afterwards — affinity changes only ever
-    /// happen between runs.
+    /// Each domain becomes a [`Lane`]: its [`DomainBlock`] (scheduler
+    /// queues, clocks, signature bank, jitter stream, counters), its
+    /// [`DomainMem`] (caches and DRAM channel) and the threads placed on
+    /// its cores, driven by `step` with a domain-local frontier and batch
+    /// limit. Lanes share nothing, so the result depends only on the
+    /// domain decomposition: every `step_threads` value (and any
+    /// lane→worker assignment) produces bit-identical machines. Threads
+    /// are partitioned by their current core and restored afterwards —
+    /// affinity changes only ever happen between runs.
     ///
     /// In completion mode each lane stops when *its own* gating threads
     /// have completed once (a lane hosting only background threads does
@@ -588,12 +602,11 @@ impl Machine {
         goal: LaneGoal,
         step: impl Fn(&mut Lane<'_>, LaneGoal, LaneCtx<'_>) + Copy + Send,
     ) {
-        let domains = self.cfg.topology.domains();
+        let domains = self.domains.len();
         let n = self.threads.len();
         let lane_of: Vec<usize> = (0..n)
             .map(|tid| {
                 let core = self
-                    .sched
                     .core_of(tid)
                     .expect("sealed machine places every thread");
                 self.domain_of[core]
@@ -603,62 +616,31 @@ impl Machine {
             (0..domains).map(|_| Vec::new()).collect();
         let mut idx_of = vec![usize::MAX; n];
         for (tid, t) in self.threads.drain(..).enumerate() {
-            idx_of[tid] = lane_threads[lane_of[tid]].len();
-            lane_threads[lane_of[tid]].push((tid, t));
+            let lane = &mut lane_threads[lane_of[tid]];
+            idx_of[tid] = lane.len();
+            lane.push((tid, t));
         }
-        let ranges: Vec<std::ops::Range<usize>> = (0..domains)
-            .map(|d| self.cfg.topology.core_range(d))
-            .collect();
-        let mut clock_slices: Vec<&mut [u64]> = Vec::with_capacity(domains);
-        let mut rest = self.clocks.as_mut_slice();
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.end - r.start);
-            clock_slices.push(head);
-            rest = tail;
-        }
-        let sigs: Vec<Option<&mut SignatureUnit>> = if self.sig.is_empty() {
-            (0..domains).map(|_| None).collect()
-        } else {
-            self.sig.iter_mut().map(Some).collect()
-        };
-        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(domains);
-        for (d, ((((((mem, sched), clocks), sig), jitter), scratch), threads)) in self
-            .mem
-            .domain_mems()
-            .into_iter()
-            .zip(self.sched.split_lanes(&ranges))
-            .zip(clock_slices)
-            .zip(sigs)
-            .zip(self.jitter.iter_mut())
-            .zip(self.lane_scratch.iter_mut())
+        let mut lanes: Vec<Lane<'_>> = self
+            .domains
+            .iter_mut()
+            .zip(self.mem.domains_mut())
             .zip(lane_threads)
-            .enumerate()
-        {
-            lanes.push(Lane {
-                domain: d,
-                cores: ranges[d].clone(),
+            .map(|((block, mem), threads)| Lane {
+                block,
                 mem,
-                sched,
-                clocks,
-                sig,
-                jitter,
-                scratch,
                 threads,
-                switches: 0,
-                steps: 0,
-            });
-        }
+            })
+            .collect();
         let ctx = LaneCtx {
             cfg: &self.cfg,
             factories: &self.factories,
             divisors: &self.quantum_divisor,
             idx_of: &idx_of,
         };
-        // Never spawn more workers than the host has CPUs: oversubscribing
+        // Never run more workers than the host has CPUs: oversubscribing
         // only adds OS switch thrash, and output is worker-count-invariant,
         // so clamping is free.
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = self.cfg.step_threads.min(domains).min(host);
+        let workers = self.cfg.step_threads.min(domains).min(self.host_cpus);
         if workers <= 1 {
             for lane in &mut lanes {
                 step(lane, goal, ctx);
@@ -667,37 +649,33 @@ impl Machine {
             // Static lane→worker partition (lane d → worker d % W). The
             // partition affects wall-clock only, never output, because
             // lanes share no state.
-            let mut buckets: Vec<Vec<Lane<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-            for lane in lanes.drain(..) {
-                buckets[lane.domain % workers].push(lane);
+            let mut buckets: Vec<Vec<&mut Lane<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+            for (d, lane) in lanes.iter_mut().enumerate() {
+                buckets[d % workers].push(lane);
             }
-            lanes = std::thread::scope(|s| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|mut bucket| {
-                        s.spawn(move || {
-                            for lane in &mut bucket {
-                                step(lane, goal, ctx);
-                            }
-                            bucket
-                        })
-                    })
-                    .collect();
-                let mut done = Vec::with_capacity(domains);
-                for h in handles {
-                    done.extend(h.join().expect("domain-stepping worker panicked"));
+            // The caller is worker 0: one spawn/join less per run, and the
+            // kernel cannot leave every stepping thread on one CPU next to
+            // a parked caller. The scope joins the others and re-raises a
+            // worker's panic.
+            std::thread::scope(|s| {
+                let mut buckets = buckets.into_iter();
+                let own = buckets.next().expect("workers >= 2");
+                for bucket in buckets {
+                    s.spawn(move || {
+                        for lane in bucket {
+                            step(lane, goal, ctx);
+                        }
+                    });
                 }
-                done
+                for lane in own {
+                    step(lane, goal, ctx);
+                }
             });
-            lanes.sort_by_key(|l| l.domain);
         }
-        // Deterministic domain-ordered merge: all lane state writes back
-        // through disjoint borrows by construction; only the counters and
-        // the thread table need reassembling.
+        // Lane state was written in place through disjoint borrows; only
+        // the thread table needs reassembling.
         let mut slots: Vec<Option<Thread>> = (0..n).map(|_| None).collect();
         for lane in lanes {
-            self.switches += lane.switches;
-            self.par_domain_steps += lane.steps;
             for (tid, t) in lane.threads {
                 slots[tid] = Some(t);
             }
@@ -803,12 +781,12 @@ impl Machine {
     /// Domain 0's signature unit, when attached (the machine-wide unit on
     /// a single-domain machine — the shape figure probes expect).
     pub fn signature(&self) -> Option<&SignatureUnit> {
-        self.sig.first()
+        self.signature_of(0)
     }
 
     /// The signature unit of cache domain `d`, when attached.
     pub fn signature_of(&self, d: usize) -> Option<&SignatureUnit> {
-        self.sig.get(d)
+        self.domains.get(d)?.sig.as_ref()
     }
 
     /// The memory system (footprint ground truth, stats).
@@ -818,13 +796,13 @@ impl Machine {
 
     /// Context switches performed.
     pub fn switches(&self) -> u64 {
-        self.switches
+        self.domains.iter().map(|b| b.switches).sum()
     }
 
     /// Hot-loop batches executed so far, summed over every domain lane
     /// (engine-internal work, not simulated behaviour).
     pub fn par_domain_steps(&self) -> u64 {
-        self.par_domain_steps
+        self.domains.iter().map(|b| b.steps).sum()
     }
 }
 
@@ -852,38 +830,13 @@ struct LaneCtx<'a> {
 /// One cache domain's private slice of the machine, stepped independently
 /// of every other domain; see [`Machine::run_lanes`].
 struct Lane<'a> {
-    domain: usize,
-    /// Global core ids of this domain (contiguous).
-    cores: std::ops::Range<usize>,
-    mem: DomainMem<'a>,
-    sched: SchedLane<'a>,
-    /// Lane-local clocks, indexed by `core - cores.start`.
-    clocks: &'a mut [u64],
-    sig: Option<&'a mut SignatureUnit>,
-    jitter: &'a mut u64,
-    scratch: &'a mut SignatureSample,
+    block: &'a mut DomainBlock,
+    mem: &'a mut DomainMem,
     /// `(tid, thread)` for every thread currently placed on this domain.
     threads: Vec<(usize, Thread)>,
-    switches: u64,
-    steps: u64,
 }
 
 impl Lane<'_> {
-    #[inline]
-    fn clock(&self, core: usize) -> u64 {
-        self.clocks[core - self.cores.start]
-    }
-
-    /// Lane-local frontier: the most-behind active core of this domain
-    /// (first minimum of the active clocks — lowest index wins ties,
-    /// matching `min_by_key`).
-    fn frontier_core(&self) -> Option<usize> {
-        self.cores
-            .clone()
-            .filter(|&c| self.sched.has_work(c))
-            .min_by_key(|&c| self.clock(c))
-    }
-
     /// The largest value `core`'s clock may hold *before* an op such that
     /// the op is one per-op stepping would also execute next: `core` must
     /// still win the frontier tie-break against every other active core
@@ -891,16 +844,17 @@ impl Lane<'_> {
     /// domains are irrelevant because lanes never interact) and stay
     /// below `stop_before`. Requires `clock(core) < stop_before`.
     fn batch_limit(&self, core: usize, stop_before: u64) -> u64 {
+        let sched = &self.block.sched;
         let mut limit = stop_before - 1;
-        for c in self.cores.clone() {
-            if c != core && self.sched.has_work(c) {
+        for c in sched.cores() {
+            if c != core && sched.has_work(c) {
                 // Lower-index cores win ties, so `core` leads only while
                 // strictly behind them (their clock is >= 1 here because
                 // `core` is currently the frontier).
                 let v = if c < core {
-                    self.clock(c) - 1
+                    sched.clock(c) - 1
                 } else {
-                    self.clock(c)
+                    sched.clock(c)
                 };
                 limit = limit.min(v);
             }
@@ -912,46 +866,39 @@ impl Lane<'_> {
     /// quantum, cut down for reduced-share background threads) when the
     /// core is between threads.
     fn ensure_current(&mut self, core: usize, ctx: LaneCtx<'_>) -> usize {
-        match self.sched.current(core) {
+        let DomainBlock { sched, jitter, .. } = &mut *self.block;
+        match sched.current(core) {
             Some(t) => t,
             None => {
-                let quantum = jittered(self.jitter, ctx.cfg.effective_quantum());
-                let t = self
-                    .sched
+                let quantum = jittered(jitter, ctx.cfg.effective_quantum());
+                let t = sched
                     .dispatch(core, quantum)
                     .expect("has_work implies dispatchable");
                 let div = ctx.divisors[t];
                 if div > 1 {
-                    self.sched.rearm(core, quantum / div);
+                    sched.rearm(core, quantum / div);
                 }
                 t
             }
         }
     }
 
-    fn take_sample(&mut self, core: usize, tid: usize, ctx: LaneCtx<'_>) {
-        if let Some(sig) = self.sig.as_deref_mut() {
-            sig.switch_out_into(core - self.cores.start, self.scratch);
-            self.scratch.core = core;
-            self.threads[ctx.idx_of[tid]].1.sig.update(self.scratch);
-        }
-    }
-
     /// Quantum expiry: take the signature sample, then preempt — or, for
     /// a solo thread with no one to switch to, just re-arm the quantum.
     fn context_switch(&mut self, core: usize, ctx: LaneCtx<'_>) {
-        let Some(cur) = self.sched.current(core) else {
+        let block = &mut *self.block;
+        let Some(cur) = block.sched.current(core) else {
             return;
         };
-        self.take_sample(core, cur, ctx);
-        if self.sched.load(core) > 1 {
-            self.sched.preempt(core);
-            self.clocks[core - self.cores.start] += switch_cost_of(ctx.cfg);
-            self.switches += 1;
+        block.take_sample(core, &mut self.threads[ctx.idx_of[cur]].1);
+        if block.sched.load(core) > 1 {
+            block.sched.preempt(core);
+            *block.sched.clock_mut(core) += switch_cost_of(ctx.cfg);
+            block.switches += 1;
         } else {
             let base = ctx.cfg.effective_quantum() / ctx.divisors[cur];
-            let quantum = jittered(self.jitter, base.max(1));
-            self.sched.rearm(core, quantum.max(1));
+            let quantum = jittered(&mut block.jitter, base.max(1));
+            block.sched.rearm(core, quantum.max(1));
         }
     }
 
@@ -970,10 +917,10 @@ impl Lane<'_> {
         let mut chan = self.mem.core_channel(core);
         let t = &mut self.threads[ctx.idx_of[tid]].1;
         let factory = &ctx.factories[tid];
-        let clock = &mut self.clocks[core - self.cores.start];
-        let quantum_left = self.sched.quantum_cell(core);
+        let DomainBlock { sched, sig, .. } = &mut *self.block;
+        let (clock, quantum_left) = sched.hot_cells(core);
         let (virt, timing, paging) = (ctx.cfg.virt, ctx.cfg.timing, ctx.cfg.paging);
-        match self.sig.as_deref_mut() {
+        match sig {
             Some(unit) => hot_run(
                 t,
                 factory,
@@ -1020,15 +967,15 @@ impl Lane<'_> {
 /// [`Lane::all_complete`].
 fn run_lane(lane: &mut Lane<'_>, goal: LaneGoal, ctx: LaneCtx<'_>) {
     while !(goal.to_completion && lane.all_complete()) {
-        let Some(core) = lane.frontier_core() else {
+        let Some(core) = lane.block.sched.frontier_core() else {
             break;
         };
-        if lane.clock(core) >= goal.stop_before {
+        if lane.block.sched.clock(core) >= goal.stop_before {
             break;
         }
         let limit = lane.batch_limit(core, goal.stop_before);
         let tid = lane.ensure_current(core, ctx);
-        lane.steps += 1;
+        lane.block.steps += 1;
         if lane.hot_batch(core, tid, limit, goal.to_completion, ctx) {
             lane.context_switch(core, ctx);
         }
@@ -1038,6 +985,7 @@ fn run_lane(lane: &mut Lane<'_>, goal: LaneGoal, ctx: LaneCtx<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::span;
     use proptest::prelude::*;
     use symbio_cache::Topology;
     use symbio_workloads::spec2006;
@@ -1047,15 +995,16 @@ mod tests {
     /// — no batching, no batch limit. Obviously-correct and slow.
     fn reference_lane(lane: &mut Lane<'_>, goal: LaneGoal, ctx: LaneCtx<'_>) {
         while !(goal.to_completion && lane.all_complete()) {
-            let Some(core) = lane.frontier_core() else {
+            let Some(core) = lane.block.sched.frontier_core() else {
                 break;
             };
-            if lane.clock(core) >= goal.stop_before {
+            if lane.block.sched.clock(core) >= goal.stop_before {
                 break;
             }
             let tid = lane.ensure_current(core, ctx);
+            let DomainBlock { sched, sig, .. } = &mut *lane.block;
             let mut null = NullSink;
-            let sink: &mut dyn CacheEventSink = match lane.sig.as_deref_mut() {
+            let sink: &mut dyn CacheEventSink = match sig {
                 Some(unit) => unit,
                 None => &mut null,
             };
@@ -1064,12 +1013,12 @@ mod tests {
                 &ctx.factories[tid],
                 &mut lane.mem.core_channel(core),
                 sink,
-                &mut lane.clocks[core - lane.cores.start],
+                sched.clock_mut(core),
                 ctx.cfg.virt,
                 ctx.cfg.timing,
                 ctx.cfg.paging,
             );
-            if lane.sched.charge(core, cost) {
+            if sched.charge(core, cost) {
                 lane.context_switch(core, ctx);
             }
         }
@@ -1079,7 +1028,11 @@ mod tests {
     /// clocks, switch count, per-thread counters, and the exported
     /// signature vectors down to f64 bit patterns.
     fn observables(m: &Machine) -> Vec<u64> {
-        let mut out = m.clocks.clone();
+        let mut out: Vec<u64> = m
+            .domains
+            .iter()
+            .flat_map(|b| b.sched.cores().map(|c| b.sched.clock(c)))
+            .collect();
         out.push(m.switches());
         for t in &m.threads {
             out.extend([
@@ -1163,6 +1116,69 @@ mod tests {
             );
             prop_assert!(out.completed);
             prop_assert_eq!(observables(&batched), observables(&reference));
+        }
+    }
+
+    /// Layout census (DESIGN §12, "What a lane may share"): everything a
+    /// lane writes per op sits in a home — its `DomainBlock`, one block
+    /// per core, its `DomainMem`, one block per L1 — that starts and ends
+    /// on a 128-byte boundary, so whatever the allocator puts next to a
+    /// home, no 128-byte block is written by two domains.
+    #[test]
+    fn lanes_write_disjoint_cache_blocks() {
+        const BLOCK: usize = 128;
+        let mut m = Machine::new(MachineConfig::scaled_multidomain(7, 4));
+        for i in 0..16 {
+            m.add_process(&tiny_spec(&format!("p{i}"), 1_000_000));
+        }
+        m.start(None);
+        m.run_for(100_000);
+        let mut owner = std::collections::HashMap::new();
+        for (d, block) in m.domains.iter().enumerate() {
+            let mem = m.mem.domain(d);
+            let mut homes = vec![("DomainBlock", span(block)), ("DomainMem", span(mem))];
+            let mut cells = vec![
+                ("jitter word", span(&block.jitter)),
+                ("scratch header", span(&block.scratch)),
+                ("switch counter", span(&block.switches)),
+                ("step counter", span(&block.steps)),
+                (
+                    "SignatureUnit header",
+                    span(block.sig.as_ref().expect("signature on")),
+                ),
+                ("Dram", span(mem.dram())),
+                ("L2 header", span(mem.l2())),
+            ];
+            for core in block.sched.cores() {
+                let (core_cells, slot) = block.sched.written_cells(core);
+                cells.extend(core_cells);
+                homes.push(("core slot", slot));
+                cells.push(("L1 header", span(mem.l1(core))));
+                homes.push(("L1", span(mem.l1(core))));
+            }
+            for (name, home) in &homes {
+                assert!(
+                    home.start % BLOCK == 0 && home.end % BLOCK == 0,
+                    "domain {d}: {name} at {home:#x?} does not fill whole {BLOCK}-byte blocks"
+                );
+            }
+            for (name, cell) in cells {
+                assert!(
+                    homes
+                        .iter()
+                        .any(|(_, h)| h.start <= cell.start && cell.end <= h.end),
+                    "domain {d}: {name} at {cell:#x?} lies outside the domain's blocks"
+                );
+                for b in cell.start / BLOCK..=(cell.end - 1) / BLOCK {
+                    let first = *owner.entry(b).or_insert(d);
+                    assert_eq!(
+                        first,
+                        d,
+                        "domains {first} and {d} both write block {:#x} ({name})",
+                        b * BLOCK
+                    );
+                }
+            }
         }
     }
 

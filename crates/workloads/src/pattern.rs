@@ -123,7 +123,7 @@ impl Pattern {
                 PatternGen::Phased {
                     gens: phases
                         .iter()
-                        .map(|(ops, p)| (*ops, Box::new(p.generator())))
+                        .map(|(ops, p)| (*ops, p.generator()))
                         .collect(),
                     idx: 0,
                     left: phases[0].0,
@@ -175,7 +175,7 @@ pub enum PatternGen {
     /// See [`Pattern::Phased`].
     Phased {
         /// Sub-generators with their per-phase op budgets.
-        gens: Vec<(u64, Box<PatternGen>)>,
+        gens: Vec<(u64, PatternGen)>,
         /// Current phase.
         idx: usize,
         /// Ops left in the current phase.
