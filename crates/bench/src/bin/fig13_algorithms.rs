@@ -7,10 +7,11 @@
 //! and the weighted interference graph is as good or better than the
 //! unweighted one.
 //!
-//! Because every policy is evaluated on the *same* mixes, the phase-2
-//! measurements are identical across policies; a shared measurement cache
-//! simulates each (mix, mapping) pair once, so comparing 7 policies costs
-//! barely more than evaluating one.
+//! Because every policy is evaluated on the *same* mixes, the profiling
+//! stream and the phase-2 measurements are identical across policies; a
+//! shared cache records each mix once and simulates each (mix, mapping)
+//! pair once, so comparing 7 policies costs barely more than evaluating
+//! one.
 //!
 //! Usage: `fig13_algorithms [--full]` (default: representative subset).
 
@@ -119,10 +120,11 @@ fn main() -> symbio::Result<()> {
     }
     let snap = pipeline.counters().snapshot();
     eprintln!(
-        "measurement cache: {} hits / {} misses ({} machine simulations for {} policies)",
+        "measurement cache: {} hits / {} misses ({} machine simulations, {} profile simulations for {} policies)",
         cache.hits(),
         cache.misses(),
         snap.sim_runs,
+        snap.profile_runs,
         policies().len()
     );
     let path = report::save_json("fig13_algorithms", &table)?;

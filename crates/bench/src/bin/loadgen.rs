@@ -103,9 +103,9 @@ use std::time::{Duration, Instant};
 use symbio::obs::{
     write_fleet_bench_record, write_serve_bench_record, FleetBenchRecord, ServeBenchRecord,
 };
-use symbio::{Error, ExperimentConfig, ExperimentConfigBuilder};
+use symbio::{Error, ExperimentConfig, ExperimentConfigBuilder, Pipeline};
 use symbio_fleet::{FleetConfig, Fleetd, Membership, RouteEntry, RoutingTable};
-use symbio_machine::{Machine, MachineConfig, SigSnapshot};
+use symbio_machine::{MachineConfig, SigSnapshot};
 use symbio_serve::{Encoding, Request, Response, WireClient};
 use symbio_workloads::spec2006;
 
@@ -128,8 +128,8 @@ enum Mode {
     Binary,
 }
 
-/// Record one profiling interval's worth of snapshots from a live
-/// machine simulation — the trace every connection replays. The machine
+/// Record one profiling run ([`Pipeline::record`]) as snapshots — the
+/// trace every connection replays. The machine
 /// is the `domains`-domain scaled multidomain box (1 = the classic
 /// scaled Core 2 Duo) and the workload list is cycled to two processes
 /// per core, so every cache domain carries load.
@@ -151,24 +151,8 @@ fn record_trace(
     for s in &mut specs {
         s.work /= 4;
     }
-    let mut machine = Machine::new(cfg.machine);
-    for s in &specs {
-        machine.add_process(s);
-    }
-    machine.start(None);
-    let mut out = Vec::new();
-    let deadline = machine.now() + cfg.profile_cycles;
-    let mut seq = 0;
-    while machine.now() < deadline {
-        machine.run_for(cfg.interval.min(deadline - machine.now()));
-        out.push(
-            machine
-                .export_snapshot("load", seq)
-                .expect("loadgen machine has runnable processes"),
-        );
-        seq += 1;
-    }
-    Ok((cfg, out))
+    let trace = Pipeline::new(cfg).record(&specs).snapshots("load");
+    Ok((cfg, trace))
 }
 
 /// Resolve a `host:port` string to the first socket address it names.

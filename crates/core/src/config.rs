@@ -13,6 +13,8 @@ pub struct ExperimentConfig {
     /// Total frontier cycles of the profiling run (phase 1).
     pub profile_cycles: u64,
     /// Allocator invocation interval during profiling (the paper's 100 ms).
+    /// Profiling is observe-only: each decision is tallied, never applied
+    /// to the profiling machine (DESIGN.md §9.3).
     pub interval: u64,
     /// Cycle cap for each measurement run (phase 2).
     pub measure_max_cycles: u64,
@@ -22,13 +24,6 @@ pub struct ExperimentConfig {
     /// Phase-2 measurement repetitions (different seeds, averaged) — the
     /// paper's "averaged over three independent runs".
     pub measure_repeats: u32,
-    /// Apply each allocation decision to the profiling machine as it is
-    /// made. The paper's text says the allocator is *invoked* every 100 ms
-    /// and the majority decision used later (Section 4.1), which reads as
-    /// observe-only — the default here. Applying decisions live creates a
-    /// feedback loop that locks onto the first decision (the placement
-    /// self-ratifies; see DESIGN.md) and is kept as an ablation option.
-    pub apply_during_profiling: bool,
 }
 
 impl ExperimentConfig {
@@ -86,7 +81,6 @@ impl ExperimentConfigBuilder {
                 measure_max_cycles: 400_000_000,
                 measure_seed_offset: 0x5EED_0FF5E7,
                 measure_repeats: 3,
-                apply_during_profiling: false,
             },
         }
     }
@@ -140,13 +134,6 @@ impl ExperimentConfigBuilder {
     /// `MachineConfig::step_threads`).
     pub fn step_threads(mut self, threads: usize) -> Self {
         self.cfg.machine.step_threads = threads.max(1);
-        self
-    }
-
-    /// Apply allocation decisions to the profiling machine live (ablation
-    /// mode; see the field docs on [`ExperimentConfig`]).
-    pub fn apply_during_profiling(mut self, apply: bool) -> Self {
-        self.cfg.apply_during_profiling = apply;
         self
     }
 

@@ -77,7 +77,7 @@ pub use obs::{
     BenchRecord, CounterSnapshot, Counters, FleetBenchRecord, KernelBenchRecord, Progress,
     ScalingSummaryRecord, ServeBenchRecord, Timings, Trace,
 };
-pub use pipeline::{MixResult, Pipeline, ProfileResult};
+pub use pipeline::{MixResult, Pipeline, ProfileResult, ProfileTrace};
 pub use sweep::{
     sweep_multithreaded, sweep_pool, DomainPoint, SweepEngine, SweepOptions, SweepOutcome,
 };

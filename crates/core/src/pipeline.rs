@@ -1,14 +1,164 @@
 //! The two-phase evaluation pipeline (Section 4, Figure 9).
 
 use crate::config::ExperimentConfig;
-use crate::memo::{measure_key, MeasureCache, RunKind};
+use crate::memo::{mix_key, MeasureCache, MeasureParams, ProfileParams, RunKind};
 use crate::mixes::candidate_mappings;
 use crate::obs::Counters;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use symbio_allocator::AllocationPolicy;
-use symbio_machine::{Machine, MachineConfig, Mapping, ProcView, RunOutcome, ThreadView};
+use symbio_machine::{
+    Machine, MachineConfig, Mapping, ProcView, RunOutcome, SigSnapshot, ThreadView,
+};
 use symbio_workloads::{ThreadSpec, WorkloadSpec};
+
+/// Marks a thread the signature unit has not sampled yet (`last_core`
+/// is `None`) in a [`ProfileTrace`] word.
+const NO_CORE: u64 = u64::MAX;
+
+/// Phase 1's observable output: the signature views the allocator is
+/// shown at every `interval` of a profiling run, plus the shape of the
+/// machine that produced them.
+///
+/// Profiling is observe-only, so this stream depends on the mix and the
+/// machine but never on the policy: [`Pipeline::vote`] replays it through
+/// any number of policies, and a memoized pipeline records it once per
+/// mix. Ticks are stored flat — one `u64` per numeric field (floats by
+/// bit pattern, so a replay is exact) and one name per process — and the
+/// views are rebuilt on demand, which keeps a cached recording to a few
+/// kilobytes and a handful of allocations.
+#[derive(Debug)]
+pub struct ProfileTrace {
+    cores: usize,
+    domains: Vec<usize>,
+    managed: usize,
+    /// Process names by pid; a thread's view carries its process's name.
+    names: Vec<String>,
+    /// Ticks back to back. Per tick: `now`, process count, then per
+    /// process `pid`, thread count and per thread `tid`, `occupancy`,
+    /// `last_occupancy`, `last_core`, `samples`, `filter_len`,
+    /// `l2_miss_rate`, `l2_misses`, `retired`, then the symbiosis and
+    /// overlap vectors, each prefixed by its length.
+    words: Vec<u64>,
+}
+
+impl ProfileTrace {
+    fn new(machine: &Machine) -> Self {
+        ProfileTrace {
+            cores: machine.config().cores,
+            domains: machine.config().topology.domain_counts(),
+            managed: machine.managed_threads(),
+            names: Vec::new(),
+            words: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, now: u64, views: &[ProcView]) {
+        let w = &mut self.words;
+        w.extend([now, views.len() as u64]);
+        for p in views {
+            if self.names.len() <= p.pid {
+                self.names.resize(p.pid + 1, String::new());
+            }
+            if self.names[p.pid].is_empty() {
+                self.names[p.pid].clone_from(&p.name);
+            }
+            w.extend([p.pid as u64, p.threads.len() as u64]);
+            for t in &p.threads {
+                debug_assert!(t.pid == p.pid && t.name == p.name);
+                w.extend([
+                    t.tid as u64,
+                    t.occupancy.to_bits(),
+                    u64::from(t.last_occupancy),
+                    t.last_core.map_or(NO_CORE, |c| c as u64),
+                    t.samples,
+                    t.filter_len as u64,
+                    t.l2_miss_rate.to_bits(),
+                    t.l2_misses,
+                    t.retired,
+                ]);
+                for v in [&t.symbiosis, &t.overlap] {
+                    w.push(v.len() as u64);
+                    w.extend(v.iter().map(|x| x.to_bits()));
+                }
+            }
+        }
+    }
+
+    /// Rebuild the ticks in order: each tick's frontier time and the
+    /// views the allocator was shown.
+    fn ticks(&self) -> impl Iterator<Item = (u64, Vec<ProcView>)> + '_ {
+        let mut words = self.words.iter().copied();
+        std::iter::from_fn(move || {
+            let now = words.next()?;
+            Some((now, self.views(&mut words)))
+        })
+    }
+
+    fn views(&self, words: &mut impl Iterator<Item = u64>) -> Vec<ProcView> {
+        let mut next = || words.next().expect("well-formed trace");
+        (0..next())
+            .map(|_| {
+                let pid = next() as usize;
+                let name = &self.names[pid];
+                let threads = (0..next())
+                    .map(|_| {
+                        let tid = next() as usize;
+                        let occupancy = f64::from_bits(next());
+                        let last_occupancy = next() as u32;
+                        let last_core = Some(next()).filter(|&c| c != NO_CORE).map(|c| c as usize);
+                        let samples = next();
+                        let filter_len = next() as usize;
+                        let l2_miss_rate = f64::from_bits(next());
+                        let l2_misses = next();
+                        let retired = next();
+                        let mut floats = || (0..next()).map(|_| f64::from_bits(next())).collect();
+                        let symbiosis = floats();
+                        let overlap = floats();
+                        ThreadView {
+                            tid,
+                            pid,
+                            name: name.clone(),
+                            occupancy,
+                            symbiosis,
+                            overlap,
+                            last_occupancy,
+                            last_core,
+                            samples,
+                            filter_len,
+                            l2_miss_rate,
+                            l2_misses,
+                            retired,
+                        }
+                    })
+                    .collect();
+                ProcView {
+                    pid,
+                    name: name.clone(),
+                    threads,
+                }
+            })
+            .collect()
+    }
+
+    /// The recording as the online subsystem's wire type: one
+    /// [`SigSnapshot`] per tick under `group`, numbered from 0 and stamped
+    /// with the tick's frontier time and the machine's topology — what
+    /// `Machine::export_snapshot` returns at the same points.
+    pub fn snapshots(&self, group: &str) -> Vec<SigSnapshot> {
+        self.ticks()
+            .enumerate()
+            .map(|(seq, (now_cycles, procs))| SigSnapshot {
+                group: group.to_string(),
+                seq: seq as u64,
+                now_cycles,
+                cores: self.cores,
+                domains: self.domains.clone(),
+                procs,
+            })
+            .collect()
+    }
+}
 
 /// Outcome of the profiling phase.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -145,9 +295,11 @@ impl Pipeline {
         }
     }
 
-    /// Share measurements through `cache`: identical phase-2 runs (same
-    /// machine template, measurement parameters, specs and mapping) are
-    /// simulated once and replayed from the cache afterwards.
+    /// Share simulations through `cache`: identical profiling runs (same
+    /// machine template, specs, profile length and interval) are recorded
+    /// once and voted over by every policy, and identical phase-2 runs
+    /// (same machine template, measurement parameters, specs and mapping)
+    /// are simulated once; both are replayed from the cache afterwards.
     pub fn with_memo(mut self, cache: Arc<MeasureCache>) -> Self {
         self.memo = Some(cache);
         self
@@ -214,20 +366,17 @@ impl Pipeline {
         a
     }
 
-    /// **Phase 1** for single-threaded processes: run the mix under the
-    /// signature unit, invoke `policy` every `interval` cycles, apply its
-    /// mapping, and return the majority vote.
+    /// **Phase 1** for single-threaded processes: the majority vote of
+    /// `policy` over the mix's signature stream ([`Pipeline::vote`] over
+    /// [`Pipeline::record`]; with a memo attached the stream is recorded
+    /// once per mix and shared by every policy).
     pub fn profile(
         &self,
         specs: &[WorkloadSpec],
         policy: &mut dyn AllocationPolicy,
     ) -> ProfileResult {
-        let mut machine = Machine::new(self.profiling_machine_cfg());
-        for s in specs {
-            machine.add_process(s);
-        }
-        machine.start(None);
-        self.profile_loop(&mut machine, policy)
+        let trace = self.recorded(RunKind::SingleThreaded, specs, || self.record(specs));
+        Self::vote(&trace, policy)
     }
 
     /// **Phase 1** for multi-threaded applications (`threads` each).
@@ -237,24 +386,37 @@ impl Pipeline {
         threads: usize,
         policy: &mut dyn AllocationPolicy,
     ) -> ProfileResult {
+        let trace = self.recorded(RunKind::MultiThreaded(threads), specs, || {
+            self.record_multithreaded(specs, threads)
+        });
+        Self::vote(&trace, policy)
+    }
+
+    /// Record the phase-1 signature stream of single-threaded processes:
+    /// run the mix under the signature unit for `profile_cycles` and
+    /// capture the views at every `interval`. Always simulates; see
+    /// [`Pipeline::profile`] for the memoized path.
+    pub fn record(&self, specs: &[WorkloadSpec]) -> ProfileTrace {
+        let mut machine = Machine::new(self.profiling_machine_cfg());
+        for s in specs {
+            machine.add_process(s);
+        }
+        self.record_machine(machine)
+    }
+
+    /// [`Pipeline::record`] for multi-threaded applications (`threads`
+    /// each).
+    pub fn record_multithreaded(&self, specs: &[ThreadSpec], threads: usize) -> ProfileTrace {
         let mut machine = Machine::new(self.profiling_machine_cfg());
         for s in specs {
             machine.add_multithreaded(s, threads);
         }
-        machine.start(None);
-        self.profile_loop(&mut machine, policy)
+        self.record_machine(machine)
     }
 
-    fn profile_loop(
-        &self,
-        machine: &mut Machine,
-        policy: &mut dyn AllocationPolicy,
-    ) -> ProfileResult {
-        let cores = machine.config().cores;
-        // Tallied in first-seen order so a tied vote has one winner per
-        // seed (a hash map's iteration order differs between runs).
-        let mut votes: Vec<(Vec<Vec<usize>>, Mapping, u32)> = Vec::new();
-        let mut invocations = 0;
+    fn record_machine(&self, mut machine: Machine) -> ProfileTrace {
+        machine.start(None);
+        let mut trace = ProfileTrace::new(&machine);
         let deadline = machine.now() + self.cfg.profile_cycles;
         self.counters
             .note_step_threads(self.cfg.machine.step_threads);
@@ -265,21 +427,55 @@ impl Pipeline {
                 &self.counters.quantum_step_ns,
                 t0.elapsed().as_nanos() as u64,
             );
-            let views = machine.query_views();
-            let mapping = policy.allocate(&views, cores);
-            if self.cfg.apply_during_profiling {
-                machine.apply_mapping(&mapping);
-            }
+            trace.push(machine.now(), &machine.query_views());
+        }
+        Counters::add(&self.counters.profile_runs, 1);
+        Counters::add(&self.counters.sim_cycles, machine.now());
+        Counters::add(&self.counters.par_domain_steps, machine.par_domain_steps());
+        trace
+    }
+
+    /// The recording of this mix: from the memo when one is attached and
+    /// already holds it, otherwise from `record`.
+    fn recorded(
+        &self,
+        kind: RunKind,
+        key_specs: &[impl Serialize],
+        record: impl FnOnce() -> ProfileTrace,
+    ) -> Arc<ProfileTrace> {
+        match &self.memo {
+            None => Arc::new(record()),
+            Some(cache) => cache.get_or_record(
+                mix_key(&self.cfg.machine, kind, key_specs),
+                ProfileParams {
+                    cycles: self.cfg.profile_cycles,
+                    interval: self.cfg.interval,
+                },
+                record,
+            ),
+        }
+    }
+
+    /// Replay a recording through `policy`, one `allocate` call per tick,
+    /// and return the majority vote. The views of the last tick become
+    /// [`ProfileResult::views`].
+    pub fn vote(trace: &ProfileTrace, policy: &mut dyn AllocationPolicy) -> ProfileResult {
+        let cores = trace.cores;
+        // Tallied in first-seen order so a tied vote has one winner per
+        // seed (a hash map's iteration order differs between runs).
+        let mut votes: Vec<(Vec<Vec<usize>>, Mapping, u32)> = Vec::new();
+        let mut invocations = 0;
+        let mut views = Vec::new();
+        for (_, tick) in trace.ticks() {
+            views = tick;
             invocations += 1;
+            let mapping = policy.allocate(&views, cores);
             let key = mapping.partition_key(cores);
             match votes.iter_mut().find(|(k, _, _)| *k == key) {
                 Some((_, _, count)) => *count += 1,
                 None => votes.push((key, mapping, 1)),
             }
         }
-        Counters::add(&self.counters.profile_runs, 1);
-        Counters::add(&self.counters.sim_cycles, machine.now());
-        Counters::add(&self.counters.par_domain_steps, machine.par_domain_steps());
         let mut votes: Vec<(Mapping, u32)> = votes.into_iter().map(|(_, m, c)| (m, c)).collect();
         // Stable sort: equal counts stay oldest-first, the tie-break the
         // online engine's window majority uses.
@@ -287,12 +483,12 @@ impl Pipeline {
         let winner = votes
             .first()
             .map(|(m, _)| m.clone())
-            .unwrap_or_else(|| Mapping::round_robin(machine.managed_threads(), cores));
+            .unwrap_or_else(|| Mapping::round_robin(trace.managed, cores));
         ProfileResult {
             winner,
             votes,
             invocations,
-            views: machine.query_views(),
+            views,
         }
     }
 
@@ -325,18 +521,17 @@ impl Pipeline {
     ) -> RunOutcome {
         match &self.memo {
             None => compute(),
-            Some(cache) => {
-                let key = measure_key(
-                    &self.cfg.machine,
-                    self.cfg.measure_max_cycles,
-                    self.cfg.measure_seed_offset,
-                    self.cfg.measure_repeats,
-                    kind,
-                    key_specs,
-                    mapping,
-                );
-                cache.get_or_compute(key, &self.counters, compute)
-            }
+            Some(cache) => cache.get_or_compute(
+                mix_key(&self.cfg.machine, kind, key_specs),
+                MeasureParams {
+                    max_cycles: self.cfg.measure_max_cycles,
+                    seed_offset: self.cfg.measure_seed_offset,
+                    repeats: self.cfg.measure_repeats,
+                    mapping: mapping.clone(),
+                },
+                &self.counters,
+                compute,
+            ),
         }
     }
 
@@ -493,6 +688,39 @@ mod tests {
         assert_eq!(total, r.invocations);
         assert_eq!(r.winner.len(), 4);
         assert_eq!(r.winner.group_sizes(2), vec![2, 2]);
+    }
+
+    #[test]
+    fn recording_replays_what_the_machine_exports() {
+        // The flat recording must rebuild, tick by tick, exactly the
+        // snapshot a live machine exports at the same point (JSON floats
+        // print shortest-round-trip, so equal text is equal bits).
+        let p = Pipeline::new(ExperimentConfig::fast(3));
+        let s = specs(&["mcf", "povray", "libquantum", "gobmk"]);
+        let trace = p.record(&s);
+        let mut machine = Machine::new(p.cfg.machine);
+        for x in &s {
+            machine.add_process(x);
+        }
+        machine.start(None);
+        let deadline = machine.now() + p.cfg.profile_cycles;
+        let mut live = Vec::new();
+        while machine.now() < deadline {
+            machine.run_for(p.cfg.interval.min(deadline - machine.now()));
+            let seq = live.len() as u64;
+            live.push(machine.export_snapshot("g", seq).unwrap());
+        }
+        assert_eq!(
+            serde_json::to_string(&trace.snapshots("g")).unwrap(),
+            serde_json::to_string(&live).unwrap()
+        );
+        // The vote reports the last tick's views.
+        let r = Pipeline::vote(&trace, &mut WeightSortPolicy);
+        assert_eq!(r.invocations as usize, live.len());
+        assert_eq!(
+            serde_json::to_string(&r.views).unwrap(),
+            serde_json::to_string(&machine.query_views()).unwrap()
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub use crate::obs::{
     BenchRecord, CounterSnapshot, Counters, KernelBenchRecord, Progress, ServeBenchRecord, Timings,
     Trace,
 };
-pub use crate::pipeline::{MixResult, Pipeline, ProfileResult};
+pub use crate::pipeline::{MixResult, Pipeline, ProfileResult, ProfileTrace};
 pub use crate::report;
 pub use crate::sweep::{
     sweep_multithreaded, sweep_pool, DomainPoint, SweepEngine, SweepOptions, SweepOutcome,

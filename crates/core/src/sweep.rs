@@ -151,7 +151,7 @@ fn aggregate(results: Vec<MixResult>) -> SweepOutcome {
 /// let pool = spec2006::pool(cfg.machine.l2.size_bytes);
 /// let outcome = SweepEngine::new(cfg)
 ///     .options(SweepOptions::smoke())
-///     .memoized()                    // share phase-2 measurements
+///     .memoized()                    // share recordings and measurements
 ///     .named("fig10-smoke")          // JSONL trace + BENCH_sweep.json
 ///     .run_pool(&pool, &|| Box::new(WeightSortPolicy))?
 ///     .expect("not cancelled");
@@ -203,14 +203,16 @@ impl<'a> SweepEngine<'a> {
         self
     }
 
-    /// Enable measurement memoization with a fresh private cache.
+    /// Enable memoization of recordings and measurements with a fresh
+    /// private cache.
     pub fn memoized(self) -> Self {
         self.with_memo(Arc::new(MeasureCache::new()))
     }
 
-    /// Enable measurement memoization with a shared cache — pass the same
-    /// `Arc` to several engines (e.g. one per policy, as Figure 13 does)
-    /// and identical phase-2 measurements are simulated exactly once.
+    /// Enable memoization with a shared cache — pass the same `Arc` to
+    /// several engines (e.g. one per policy, as Figure 13 does) and each
+    /// mix's profiling run and identical phase-2 measurements are
+    /// simulated once.
     pub fn with_memo(mut self, cache: Arc<MeasureCache>) -> Self {
         self.memo = Some(cache);
         self

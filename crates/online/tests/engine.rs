@@ -63,27 +63,10 @@ fn key_of(cores: Vec<usize>) -> Vec<Vec<usize>> {
     Mapping::new(cores).partition_key(2)
 }
 
-/// Record a profiling trace: the exact machine loop `Pipeline::profile`
-/// runs, exporting a snapshot at every allocator invocation point.
+/// Record a profiling trace: the recording `Pipeline::profile` votes
+/// over, as one snapshot per allocator invocation point.
 fn record_trace(cfg: &ExperimentConfig, specs: &[WorkloadSpec], group: &str) -> Vec<SigSnapshot> {
-    let mut machine = Machine::new(cfg.machine);
-    for s in specs {
-        machine.add_process(s);
-    }
-    machine.start(None);
-    let mut out = Vec::new();
-    let deadline = machine.now() + cfg.profile_cycles;
-    let mut seq = 0;
-    while machine.now() < deadline {
-        machine.run_for(cfg.interval.min(deadline - machine.now()));
-        out.push(
-            machine
-                .export_snapshot(group, seq)
-                .expect("profiling machine has runnable processes"),
-        );
-        seq += 1;
-    }
-    out
+    Pipeline::new(*cfg).record(specs).snapshots(group)
 }
 
 fn fig13_specs(l2: u64) -> Vec<WorkloadSpec> {

@@ -1,9 +1,11 @@
-//! Integration: the measurement memo-cache is transparent (byte-identical
-//! sweep output) and actually saves machine simulations on the Figure-13
-//! multi-policy comparison path.
+//! Integration: the memo-cache is transparent (byte-identical sweep
+//! output, identical votes) and actually saves machine simulations on the
+//! Figure-13 multi-policy comparison path — one profiling run per mix, one
+//! measurement per (mix, mapping).
 
 use std::sync::Arc;
 use symbio::prelude::*;
+use symbio_machine::config::SigOptions;
 
 fn small_pool() -> Vec<WorkloadSpec> {
     let l2 = 256 << 10;
@@ -15,6 +17,169 @@ fn small_pool() -> Vec<WorkloadSpec> {
             s
         })
         .collect()
+}
+
+fn mix(names: &[&str]) -> Vec<WorkloadSpec> {
+    let l2 = 256 << 10;
+    names
+        .iter()
+        .map(|n| {
+            let mut s = spec2006::by_name(n, l2).unwrap();
+            s.work /= 4;
+            s
+        })
+        .collect()
+}
+
+type Factory = fn() -> Box<dyn AllocationPolicy>;
+
+/// The seven policies `fig13_algorithms` compares.
+fn fig13_policies() -> Vec<Factory> {
+    vec![
+        || Box::new(WeightSortPolicy),
+        || Box::new(InterferenceGraphPolicy::default()),
+        || Box::new(WeightedInterferenceGraphPolicy::default()),
+        || Box::new(WeightedInterferenceGraphPolicy::paper_literal()),
+        || Box::new(PairwisePolicy::new()),
+        || Box::new(MissRateSortPolicy),
+        || Box::new(DefaultPolicy),
+    ]
+}
+
+#[test]
+fn one_profile_simulation_per_mix_whatever_the_policy_count() {
+    // Profiling is observe-only, so every policy votes over the same
+    // stream: a memoized pipeline records each mix once, and each
+    // policy's vote, choice and prediction equal what a pipeline
+    // simulating phase 1 per policy produces.
+    let cases = [
+        (1, ["gobmk", "hmmer", "libquantum", "povray"]),
+        (7, ["mcf", "hmmer", "libquantum", "omnetpp"]),
+        (1234, ["bzip2", "gcc", "mcf", "soplex"]),
+    ];
+    for (seed, names) in cases {
+        let cfg = ExperimentConfig::fast(seed);
+        let specs = mix(&names);
+        let memoized = Pipeline::new(cfg).with_memo(Arc::new(MeasureCache::new()));
+        let plain = Pipeline::new(cfg);
+        let candidates = plain.candidates(specs.len());
+        for make in fig13_policies() {
+            let r = memoized.evaluate_mix(&specs, make().as_mut()).unwrap();
+            let got = memoized.profile(&specs, make().as_mut());
+            let want = plain.profile(&specs, make().as_mut());
+            let policy = make().name();
+            assert_eq!(r.mappings, candidates);
+            assert_eq!(
+                r.chosen,
+                Pipeline::locate(&candidates, &want.winner, 2),
+                "{policy}, seed {seed}: chosen"
+            );
+            let keys = |votes: &[(Mapping, u32)]| -> Vec<(Vec<Vec<usize>>, u32)> {
+                votes
+                    .iter()
+                    .map(|(m, c)| (m.partition_key(2), *c))
+                    .collect()
+            };
+            assert_eq!(
+                keys(&got.votes),
+                keys(&want.votes),
+                "{policy}, seed {seed}: votes"
+            );
+            assert_eq!(got.invocations, want.invocations);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&r.predicted),
+                bits(&Pipeline::predicted_scores(&want.views, &candidates)),
+                "{policy}, seed {seed}: predicted"
+            );
+        }
+        let policies = fig13_policies().len() as u64;
+        assert_eq!(memoized.counters().snapshot().profile_runs, 1);
+        assert_eq!(plain.counters().snapshot().profile_runs, policies);
+    }
+}
+
+#[test]
+fn profile_cache_separates_what_changes_the_stream() {
+    // Each variant profiles through one shared cache on a fresh ledger:
+    // one profile run means the recording missed, none that it hit.
+    let base = ExperimentConfig::fast(5);
+    let specs = mix(&["mcf", "povray", "libquantum", "gobmk"]);
+    let cache = Arc::new(MeasureCache::new());
+    let runs = |cfg: ExperimentConfig| {
+        let p = Pipeline::new(cfg).with_memo(Arc::clone(&cache));
+        p.profile(&specs, &mut WeightSortPolicy);
+        p.counters().snapshot().profile_runs
+    };
+    assert_eq!(runs(base), 1, "a cold cache records");
+    assert_eq!(runs(base), 0, "the same mix replays");
+
+    let signature = |f: fn(&mut SigOptions)| {
+        let mut cfg = base;
+        let mut sig = SigOptions::default_options();
+        f(&mut sig);
+        cfg.machine.signature = Some(sig);
+        cfg
+    };
+    let builder = || ExperimentConfigBuilder::fast(5);
+    let mut topology = base;
+    topology.machine.topology = Topology::private_l2(2);
+    let misses = [
+        ("hash", signature(|s| s.hash = HashKind::Modulo)),
+        ("sampling", signature(|s| s.sampling = Sampling::QUARTER)),
+        (
+            "machine seed",
+            builder()
+                .machine(MachineConfig::scaled_core2duo(6))
+                .build()
+                .unwrap(),
+        ),
+        ("topology", topology),
+        ("interval", builder().interval(2_500_000).build().unwrap()),
+        (
+            "profile_cycles",
+            builder().profile_cycles(20_000_000).build().unwrap(),
+        ),
+    ];
+    for (what, cfg) in misses {
+        assert_eq!(runs(cfg), 1, "a different {what} must record again");
+    }
+    let hits = [
+        ("step_threads", builder().step_threads(2).build().unwrap()),
+        (
+            "measure_max_cycles",
+            builder().measure_max_cycles(300_000_000).build().unwrap(),
+        ),
+        (
+            "measure_seed_offset",
+            builder().measure_seed_offset(1).build().unwrap(),
+        ),
+        (
+            "measure_repeats",
+            builder().measure_repeats(2).build().unwrap(),
+        ),
+    ];
+    for (what, cfg) in hits {
+        assert_eq!(runs(cfg), 0, "{what} cannot change the stream");
+    }
+
+    // Thread count: each width of the same applications records once.
+    let l2 = base.machine.l2.size_bytes;
+    let apps: Vec<ThreadSpec> = [parsec::ferret(l2), parsec::swaptions(l2)]
+        .into_iter()
+        .map(|mut a| {
+            a.work /= 4;
+            a
+        })
+        .collect();
+    let threaded = |threads| {
+        let p = Pipeline::new(base).with_memo(Arc::clone(&cache));
+        p.profile_multithreaded(&apps, threads, &mut TwoPhasePolicy::default());
+        p.counters().snapshot().profile_runs
+    };
+    assert_eq!(threaded(2), 1);
+    assert_eq!(threaded(4), 1, "a different thread count must record again");
+    assert_eq!(threaded(2), 0);
 }
 
 #[test]
