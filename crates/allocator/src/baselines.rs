@@ -106,7 +106,7 @@ impl AllocationPolicy for AffinityPolicy {
 /// Miss-rate sorting: identical grouping logic to the paper's weight
 /// sorting, but keyed on the L2 **miss rate** perf counter instead of the
 /// footprint signature — the event-counter approach of the related work
-/// ([9], [40]) that Section 2.2 argues cannot see footprints. Comparing
+/// (\[9\], \[40\]) that Section 2.2 argues cannot see footprints. Comparing
 /// this against [`crate::WeightSortPolicy`] isolates the value of the
 /// signature itself.
 #[derive(Debug, Default, Clone, Copy)]

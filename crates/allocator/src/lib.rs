@@ -6,10 +6,11 @@
 //! All policies implement [`AllocationPolicy`]: given the per-process /
 //! per-thread signature contexts exposed by the machine's query interface
 //! (the paper's syscall / hypercall surface), produce a thread→core
-//! [`Mapping`]. The intent of every algorithm is the same inversion:
-//! processes that *hurt each other* when run concurrently under the shared
-//! L2 should be herded onto the **same** core, where time-slicing
-//! serialises them and the interference disappears.
+//! [`Mapping`](symbio_machine::Mapping). The intent of every algorithm
+//! is the same inversion: processes that *hurt each other* when run
+//! concurrently under the shared L2 should be herded onto the **same**
+//! core, where time-slicing serialises them and the interference
+//! disappears.
 //!
 //! * [`WeightSortPolicy`] — Section 3.3.1: sort by RBV occupancy weight,
 //!   group consecutive heavy hitters;

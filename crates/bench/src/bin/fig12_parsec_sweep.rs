@@ -14,9 +14,8 @@ use symbio::prelude::*;
 fn main() -> symbio::Result<()> {
     let full = std::env::args().any(|a| a == "--full");
     let opts = SweepOptions {
-        mix_size: 4,
         stride: if full { 1 } else { 5 },
-        threads: symbio::parallel::default_threads(),
+        ..SweepOptions::full()
     };
     let cfg = ExperimentConfig::scaled(2011);
     let pool = parsec::pool(cfg.machine.l2.size_bytes);

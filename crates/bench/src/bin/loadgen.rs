@@ -7,7 +7,7 @@
 //!         [--rate 0 (per-conn ingest/s, 0 = unthrottled)]
 //!         [--domains 1 (cache domains of the recorded machine)]
 //!         [--step-threads 1 (OS threads driving the domain lanes while recording; never changes the trace)]
-//!         [--encoding json (json | binary | legacy)]
+//!         [--encoding json (json | binary)]
 //!         [--batch 1 (epochs per IngestBatch frame)]
 //!         [--min-rate 0 (fail below this decisions/sec floor)]
 //!         [--watch] [--what-if]
@@ -23,19 +23,16 @@
 //! now, what would the mapping be?" — then repeats the identical query
 //! and requires the second answer to come back `memo_hit: true` (the
 //! shard memoizes what-if answers until the next state mutation).
-//! Neither verb exists in the bare v1 protocol, so both refuse
-//! `--encoding legacy`; `--watch` also refuses `--fleet` (the
-//! coordinator answers `Subscribe` with a `backend_verb` error —
-//! resolve the owner with `Route` and watch that symbiod directly).
+//! `--watch` refuses `--fleet` (the coordinator answers `Subscribe`
+//! with a `backend_verb` error — resolve the owner with `Route` and
+//! watch that symbiod directly).
 //!
 //! Each connection streams the trace under its own process-group key
 //! (`load-0`, `load-1`, …) so the daemon exercises independent decision
 //! streams concurrently. `--encoding json`/`binary` negotiate through a
-//! `Hello`; `legacy` speaks bare v1 frames without negotiation (the
-//! deprecated pre-`Hello` protocol — a warning is printed). `--batch N`
-//! packs N consecutive epochs into one `IngestBatch` frame; the reply
-//! carries one decision per item and throughput is reported in
-//! decisions/sec. After the replay window a control connection fetches
+//! `Hello`. `--batch N` packs N consecutive epochs into one
+//! `IngestBatch` frame; the reply carries one decision per item and
+//! throughput is reported in decisions/sec. After the replay window a control connection fetches
 //! `metrics` — the run fails (nonzero exit) unless the daemon answers
 //! with a well-formed metrics reply — and optionally sends `shutdown` so
 //! scripted runs tear the daemon down. `--min-rate` turns the record
@@ -116,18 +113,6 @@ const BACKOFF_BASE_MS: f64 = 2.0;
 /// Connect/read/write deadline on every client socket.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How the trace is spoken to the daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Bare v1 json-lines without `Hello` — the deprecated pre-envelope
-    /// protocol, kept for old daemons.
-    Legacy,
-    /// Negotiate proto and stay on json-lines.
-    Json,
-    /// Negotiate proto and upgrade to the binary framing.
-    Binary,
-}
-
 /// Record one profiling run ([`Pipeline::record`]) as snapshots — the
 /// trace every connection replays. The machine
 /// is the `domains`-domain scaled multidomain box (1 = the classic
@@ -163,18 +148,10 @@ fn resolve(addr: &str) -> symbio::Result<SocketAddr> {
         .ok_or_else(|| Error::InvalidConfig(format!("cannot resolve `{addr}`")))
 }
 
-/// Connect one client and run the mode's negotiation.
-fn connect_client(addr: SocketAddr, mode: Mode) -> symbio::Result<WireClient> {
+/// Connect one client and negotiate `mode`.
+fn connect_client(addr: SocketAddr, mode: Encoding) -> symbio::Result<WireClient> {
     let mut client = WireClient::connect(addr, IO_TIMEOUT)?;
-    match mode {
-        Mode::Legacy => {}
-        Mode::Json => {
-            client.hello(Encoding::JsonLines)?;
-        }
-        Mode::Binary => {
-            client.hello(Encoding::Binary)?;
-        }
-    }
+    client.hello(mode)?;
     Ok(client)
 }
 
@@ -302,7 +279,7 @@ fn backoff(attempt: u32, rng: &mut StdRng) -> Duration {
 /// lost.
 fn control_exchange(
     addr: SocketAddr,
-    mode: Mode,
+    mode: Encoding,
     request: &Request,
     gone_ok: bool,
     rng: &mut StdRng,
@@ -457,7 +434,12 @@ enum ChaosFault {
 
 /// Fire one chaos fault. Returns a human line for the report and how
 /// many backends it killed outright.
-fn run_chaos_fault(fault: ChaosFault, target: SocketAddr, mode: Mode, seed: u64) -> (String, u64) {
+fn run_chaos_fault(
+    fault: ChaosFault,
+    target: SocketAddr,
+    mode: Encoding,
+    seed: u64,
+) -> (String, u64) {
     match fault {
         ChaosFault::Kill { victim, mut child } => {
             let _ = child.kill();
@@ -506,7 +488,7 @@ fn run_chaos_fault(fault: ChaosFault, target: SocketAddr, mode: Mode, seed: u64)
 /// retryable, so the control loop absorbs the one-shot moved flag.
 fn export_digest(
     target: SocketAddr,
-    mode: Mode,
+    mode: Encoding,
     group: &str,
     rng: &mut StdRng,
 ) -> symbio::Result<String> {
@@ -529,7 +511,7 @@ fn export_digest(
 /// address and how many probe groups proved continuity.
 fn join_epilogue(
     rig: &mut FleetRig,
-    mode: Mode,
+    mode: Encoding,
     trace: &[SigSnapshot],
     rng: &mut StdRng,
 ) -> symbio::Result<(String, usize)> {
@@ -652,17 +634,9 @@ fn routing_footprint(count: u64, backends: usize) -> f64 {
 /// collect streamed decision events until the replay window closes.
 /// The short read timeout is the poll tick — a quiet daemon just makes
 /// `recv` time out until the deadline check breaks the loop.
-fn watch_events(addr: SocketAddr, mode: Mode, window: Duration) -> symbio::Result<u64> {
+fn watch_events(addr: SocketAddr, mode: Encoding, window: Duration) -> symbio::Result<u64> {
     let mut client = WireClient::connect(addr, Duration::from_millis(250))?;
-    match mode {
-        Mode::Legacy => unreachable!("--watch rejects --encoding legacy at parse time"),
-        Mode::Json => {
-            client.hello(Encoding::JsonLines)?;
-        }
-        Mode::Binary => {
-            client.hello(Encoding::Binary)?;
-        }
-    }
+    client.hello(mode)?;
     match client.exchange(&Request::Subscribe)? {
         Response::Ok => {}
         other => {
@@ -706,7 +680,7 @@ fn watch_events(addr: SocketAddr, mode: Mode, window: Duration) -> symbio::Resul
 /// from the shard's memo (`memo_hit: true`), proving both the verb and
 /// the memoization end to end. What-if never commits state, so the
 /// probe leaves the daemon exactly as it found it.
-fn what_if_probe(addr: SocketAddr, mode: Mode, trace: &[SigSnapshot]) -> symbio::Result<()> {
+fn what_if_probe(addr: SocketAddr, mode: Encoding, trace: &[SigSnapshot]) -> symbio::Result<()> {
     let mut client = connect_client(addr, mode)?;
     let mut snap = trace[0].clone();
     snap.group = "load-0".to_string();
@@ -749,7 +723,7 @@ fn what_if_probe(addr: SocketAddr, mode: Mode, trace: &[SigSnapshot]) -> symbio:
 #[allow(clippy::too_many_arguments)] // a flag bundle, not an API
 fn replay(
     addr: SocketAddr,
-    mode: Mode,
+    mode: Encoding,
     group: String,
     trace: &[SigSnapshot],
     seconds: f64,
@@ -859,7 +833,7 @@ fn main() -> symbio::Result<()> {
     let mut step_threads = 1usize;
     let mut name = "serve-loadgen".to_string();
     let mut shutdown = false;
-    let mut mode = Mode::Json;
+    let mut mode = Encoding::JsonLines;
     let mut batch = 1u64;
     let mut min_rate = 0.0f64;
     let mut fleet = 0usize;
@@ -903,12 +877,11 @@ fn main() -> symbio::Result<()> {
             "--encoding" => {
                 let v = value()?;
                 mode = match v.as_str() {
-                    "json" => Mode::Json,
-                    "binary" => Mode::Binary,
-                    "legacy" => Mode::Legacy,
+                    "json" => Encoding::JsonLines,
+                    "binary" => Encoding::Binary,
                     _ => {
                         return Err(Error::InvalidConfig(format!(
-                            "bad value `{v}` for --encoding (expected json | binary | legacy)"
+                            "bad value `{v}` for --encoding (expected json | binary)"
                         )))
                     }
                 };
@@ -995,26 +968,6 @@ fn main() -> symbio::Result<()> {
              resolve the owner with Route and watch that symbiod directly"
                 .to_string(),
         ));
-    }
-    if mode == Mode::Legacy {
-        eprintln!(
-            "loadgen: warning: --encoding legacy connects without a Hello; bare v1 frames \
-             are deprecated — prefer --encoding json or binary"
-        );
-        if watch || what_if {
-            return Err(Error::InvalidConfig(
-                "--watch/--what-if need negotiation (Subscribe and WhatIf are not part of \
-                 the bare v1 protocol); drop --encoding legacy"
-                    .to_string(),
-            ));
-        }
-        if batch > 1 {
-            return Err(Error::InvalidConfig(
-                "--batch > 1 needs negotiation (IngestBatch is not part of the bare v1 \
-                 protocol); drop --encoding legacy"
-                    .to_string(),
-            ));
-        }
     }
     let mut rig = if fleet > 0 {
         Some(spawn_fleet(fleet, budget_bytes, chaos.is_some())?)
@@ -1269,15 +1222,7 @@ fn main() -> symbio::Result<()> {
             errors,
             retries,
             rerouted,
-            fleet_routes: snap.aggregate.fleet_routes,
-            fleet_rebalance_moves: snap.aggregate.fleet_rebalance_moves,
-            tenant_sheds: snap.aggregate.tenant_sheds,
-            fleet_backend_errors: snap.aggregate.fleet_backend_errors,
-            fleet_warm_handoffs: snap.aggregate.fleet_warm_handoffs,
-            fleet_cold_fallbacks: snap.aggregate.fleet_cold_fallbacks,
-            fleet_flaps_suppressed: snap.aggregate.fleet_flaps_suppressed,
-            membership_epochs: snap.aggregate.membership_epochs,
-            whatif_requests: snap.aggregate.whatif_requests,
+            counters: snap.aggregate,
             synthetic_groups,
             bytes_per_group,
         };
@@ -1297,19 +1242,19 @@ fn main() -> symbio::Result<()> {
         println!(
             "loadgen: coordinator routed {} times, rebalanced {} groups, \
              shed {} tenant requests, saw {} backend errors (epoch {})",
-            record.fleet_routes,
-            record.fleet_rebalance_moves,
-            record.tenant_sheds,
-            record.fleet_backend_errors,
+            record.counters.fleet_routes,
+            record.counters.fleet_rebalance_moves,
+            record.counters.tenant_sheds,
+            record.counters.fleet_backend_errors,
             snap.epoch
         );
         println!(
             "loadgen: lifecycle — fleet_warm_handoffs {}, fleet_cold_fallbacks {}, \
              fleet_flaps_suppressed {}, membership_epochs {}",
-            record.fleet_warm_handoffs,
-            record.fleet_cold_fallbacks,
-            record.fleet_flaps_suppressed,
-            record.membership_epochs
+            record.counters.fleet_warm_handoffs,
+            record.counters.fleet_cold_fallbacks,
+            record.counters.fleet_flaps_suppressed,
+            record.counters.membership_epochs
         );
         println!(
             "loadgen: routing footprint {:.1} B/group at {} synthetic groups \
@@ -1323,7 +1268,7 @@ fn main() -> symbio::Result<()> {
                 "routing footprint over budget: {bytes_per_group:.1} B/group > {budget_bytes} B"
             )));
         }
-        if fleet_kill && record.fleet_rebalance_moves == 0 {
+        if fleet_kill && record.counters.fleet_rebalance_moves == 0 {
             return Err(Error::Protocol(
                 "a backend was killed but the coordinator never rebalanced".to_string(),
             ));
@@ -1334,7 +1279,7 @@ fn main() -> symbio::Result<()> {
                     "{errors} acks were lost across the fault schedule (expected zero)"
                 )));
             }
-            if record.fleet_warm_handoffs == 0 {
+            if record.counters.fleet_warm_handoffs == 0 {
                 return Err(Error::Protocol(
                     "no warm handoff happened (the join epilogue must move groups warm)"
                         .to_string(),
@@ -1361,7 +1306,7 @@ fn main() -> symbio::Result<()> {
         }
     }
 
-    let record = ServeBenchRecord::new(
+    let mut record = ServeBenchRecord::new(
         &name,
         conns,
         wall,
@@ -1370,8 +1315,8 @@ fn main() -> symbio::Result<()> {
         retries,
         degraded,
         &mut latencies,
-    )
-    .with_control_plane(&metrics);
+    );
+    record.counters = metrics;
     let path = write_serve_bench_record(&record)?;
     println!(
         "loadgen: {} requests in {:.2}s over {} conn(s) → {:.0} decisions/sec \
@@ -1389,15 +1334,17 @@ fn main() -> symbio::Result<()> {
     println!(
         "loadgen: daemon served {} requests total ({} errors, domain_remaps {:?}); \
          record merged into {}",
-        metrics.serve_requests,
-        metrics.serve_errors,
-        metrics.domain_remaps,
+        record.counters.serve_requests,
+        record.counters.serve_errors,
+        record.counters.domain_remaps,
         path.display()
     );
     println!(
         "loadgen: control plane — whatif_requests {}, stream_events {}, \
          explanations_emitted {}",
-        metrics.whatif_requests, metrics.stream_events, metrics.explanations_emitted
+        record.counters.whatif_requests,
+        record.counters.stream_events,
+        record.counters.explanations_emitted
     );
     if min_rate > 0.0 && record.decisions_per_sec < min_rate {
         return Err(Error::InvalidConfig(format!(

@@ -7,11 +7,11 @@
 //!
 //! The paper's denominator mixes units (64 *bytes* of data + 18 *bits* of
 //! tag); we reproduce the paper's arithmetic verbatim in
-//! [`paper_overhead_fraction`] so the quoted numbers regenerate exactly, and
-//! also provide a dimensionally-consistent variant
-//! ([`bit_accurate_overhead_fraction`]) that measures signature bits against
-//! the true per-line storage of `64×8 + 18` bits. The discrepancy is
-//! documented in DESIGN.md.
+//! [`OverheadModel::paper_overhead_fraction`] so the quoted numbers
+//! regenerate exactly, and also provide a dimensionally-consistent
+//! variant ([`OverheadModel::bit_accurate_overhead_fraction`]) that
+//! measures signature bits against the true per-line storage of
+//! `64×8 + 18` bits. The discrepancy is documented in DESIGN.md.
 
 use serde::{Deserialize, Serialize};
 

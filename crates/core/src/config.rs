@@ -58,7 +58,8 @@ impl ExperimentConfig {
     }
 }
 
-/// Builder for [`ExperimentConfig`] with validation at [`build`] time.
+/// Builder for [`ExperimentConfig`] with validation at
+/// [`build`](ExperimentConfigBuilder::build) time.
 ///
 /// The presets ([`scaled`](ExperimentConfigBuilder::scaled),
 /// [`fast`](ExperimentConfigBuilder::fast)) mirror the former

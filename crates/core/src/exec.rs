@@ -1,10 +1,10 @@
 //! Work-queue executor for mix sweeps.
 //!
-//! Replaces the fixed one-item-at-a-time claiming of the original
-//! `parallel_map` with a chunk-aware work queue: workers claim runs of
-//! consecutive indices (amortising queue contention when items are cheap),
-//! observe a cancellation token between items, and report progress through
-//! an optional callback. Results always come back in input order, and the
+//! The sweeps behind Figures 10–12 evaluate hundreds of independent,
+//! deterministic mixes. Workers claim runs of consecutive indices from a
+//! shared cursor (amortising queue contention when items are cheap),
+//! observe a cancellation token between items, and report progress
+//! through an optional callback. Results always come back in input order, and the
 //! executor adds no nondeterminism of its own — a cancelled run returns
 //! `None` rather than a partial result.
 

@@ -60,7 +60,6 @@ pub mod memo;
 pub mod metrics;
 pub mod mixes;
 pub mod obs;
-pub mod parallel;
 pub mod pipeline;
 pub mod prelude;
 pub mod report;

@@ -17,177 +17,221 @@ use symbio_cache::MAX_DOMAINS;
 
 // ------------------------------------------------------------- counters
 
-/// Monotonic engine counters, shared (via `Arc`) by every pipeline and
-/// worker thread of a sweep.
-#[derive(Debug, Default)]
-pub struct Counters {
+/// The per-kind half of [`counters!`]: what one table line turns into
+/// at each generated site. `sum` and `max` are scalars (one `u64` on the
+/// wire each); `per_domain` is the one array counter.
+macro_rules! counter_kind {
+    (atomic per_domain) => { [AtomicU64; MAX_DOMAINS] };
+    (atomic $scalar:ident) => { AtomicU64 };
+    (plain per_domain) => { Vec<u64> };
+    (plain $scalar:ident) => { u64 };
+    (scalars per_domain) => { 0 };
+    (scalars $scalar:ident) => { 1 };
+    (load per_domain, $c:expr) => {{
+        let mut v: Vec<u64> = $c.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        while v.last() == Some(&0) {
+            v.pop();
+        }
+        v
+    }};
+    (load $scalar:ident, $c:expr) => { $c.load(Ordering::Relaxed) };
+    (absorb sum, $a:expr, $b:expr) => { $a += $b };
+    (absorb max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    (absorb per_domain, $a:expr, $b:expr) => {{
+        if $a.len() < $b.len() {
+            $a.resize($b.len(), 0);
+        }
+        for (slot, v) in $a.iter_mut().zip(&$b) {
+            *slot += v;
+        }
+    }};
+    (put per_domain, $slots:ident, $v:expr) => {};
+    (put $scalar:ident, $slots:ident, $v:expr) => {
+        if let Some(slot) = $slots.next() {
+            *slot = $v;
+        }
+    };
+    (take per_domain, $values:ident, $per_domain:ident) => { $per_domain };
+    (take $scalar:ident, $values:ident, $per_domain:ident) => {
+        $values.next().unwrap_or_default()
+    };
+}
+
+/// Declares every engine counter once. Each line is a doc comment, a
+/// kind and a name; the order is the JSON field order and the v2 wire
+/// order. Kinds:
+///
+/// * `sum` — a monotonic counter; merged snapshots add;
+/// * `max` — a gauge raised with `fetch_max`; merged snapshots keep the
+///   larger value;
+/// * `per_domain` — one slot per cache domain; snapshots trim trailing
+///   all-zero slots and merge element-wise.
+///
+/// From the table this generates [`Counters`], [`CounterSnapshot`],
+/// [`Counters::snapshot`], [`CounterSnapshot::absorb`] and the scalar
+/// view the v2 codec packs ([`CounterSnapshot::scalars`] /
+/// [`CounterSnapshot::from_scalars`]). Adding a counter is one table
+/// line plus the `Counters::add` that increments it.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $kind:ident $name:ident;)+) => {
+        /// Monotonic engine counters, shared (via `Arc`) by every pipeline
+        /// and worker thread of a sweep.
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $($(#[doc = $doc])+ pub $name: counter_kind!(atomic $kind),)+
+        }
+
+        /// Plain-data snapshot of [`Counters`] for serialization.
+        #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct CounterSnapshot {
+            $(
+                #[doc = concat!("See [`Counters::", stringify!($name), "`].")]
+                pub $name: counter_kind!(plain $kind),
+            )+
+        }
+
+        impl Counters {
+            /// Consistent-enough point-in-time copy.
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot {
+                    $($name: counter_kind!(load $kind, self.$name),)+
+                }
+            }
+        }
+
+        impl CounterSnapshot {
+            /// How many scalar (`sum` and `max`) counters the table holds.
+            pub const SCALARS: usize = 0 $(+ counter_kind!(scalars $kind))+;
+
+            /// Fold `other` into `self` by kind: `sum` counters add, `max`
+            /// gauges (`step_threads`) keep the larger value, and
+            /// `per_domain` slots (`domain_remaps`) add element-wise, the
+            /// longer vector's tail surviving. The fleet coordinator uses
+            /// this to aggregate per-backend `Metrics` replies into
+            /// fleet-wide totals.
+            pub fn absorb(&mut self, other: &CounterSnapshot) {
+                $(counter_kind!(absorb $kind, self.$name, other.$name);)+
+            }
+
+            /// Every scalar counter, in table order.
+            pub fn scalars(&self) -> [u64; Self::SCALARS] {
+                let mut out = [0; Self::SCALARS];
+                let mut slots = out.iter_mut();
+                $(counter_kind!(put $kind, slots, self.$name);)+
+                out
+            }
+
+            /// Inverse of [`CounterSnapshot::scalars`], with the
+            /// per-domain slots supplied separately.
+            pub fn from_scalars(values: [u64; Self::SCALARS], domain_remaps: Vec<u64>) -> Self {
+                let mut values = values.into_iter();
+                CounterSnapshot {
+                    $($name: counter_kind!(take $kind, values, domain_remaps),)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Phase-1 profiling simulations executed.
-    pub profile_runs: AtomicU64,
+    sum profile_runs;
     /// Phase-2 measurement simulations actually executed (memoization
     /// hits do *not* count — that is the point of the cache).
-    pub sim_runs: AtomicU64,
+    sum sim_runs;
     /// Simulated frontier cycles across executed measurement runs.
-    pub sim_cycles: AtomicU64,
+    sum sim_cycles;
     /// L2 accesses across executed measurement runs.
-    pub l2_accesses: AtomicU64,
+    sum l2_accesses;
     /// L2 misses across executed measurement runs.
-    pub l2_misses: AtomicU64,
+    sum l2_misses;
     /// Measurement-cache hits.
-    pub memo_hits: AtomicU64,
+    sum memo_hits;
     /// Measurement-cache misses.
-    pub memo_misses: AtomicU64,
+    sum memo_misses;
     /// Mixes fully evaluated.
-    pub mixes_done: AtomicU64,
+    sum mixes_done;
     /// Online-engine epochs ingested (snapshot stream ticks).
-    pub online_epochs: AtomicU64,
+    sum online_epochs;
     /// Online-engine remaps committed (mapping actually changed after
     /// majority + hysteresis).
-    pub online_remaps: AtomicU64,
+    sum online_remaps;
     /// Daemon requests served (every parsed frame, all verbs).
-    pub serve_requests: AtomicU64,
+    sum serve_requests;
     /// Daemon protocol/dispatch errors returned to clients.
-    pub serve_errors: AtomicU64,
+    sum serve_errors;
     /// `IngestBatch` frames served (each batch also counts once in
     /// [`Counters::serve_requests`]; per-item decisions land in
     /// [`Counters::online_epochs`]).
-    pub serve_batches: AtomicU64,
+    sum serve_batches;
     /// Journal frames replayed during recovery
     /// (`OnlineEngine::recover_from`).
-    pub recovery_replays: AtomicU64,
+    sum recovery_replays;
     /// Process groups tripped into quarantine by repeated invalid
     /// snapshots.
-    pub quarantine_trips: AtomicU64,
+    sum quarantine_trips;
     /// `degraded`/`recovering` replies served (load shedding and
     /// quarantined groups: the stale mapping, not a fresh decision).
-    pub degraded_replies: AtomicU64,
+    sum degraded_replies;
     /// Bytes appended to (or replayed from) the epoch journal.
-    pub journal_bytes: AtomicU64,
+    sum journal_bytes;
     /// Per-cache-domain committed mapping changes (initial adoptions and
     /// remaps, indexed by domain). A slot only moves when the online
     /// engine actually touched that domain, so a healthy multi-domain
-    /// replay shows activity precisely where remaps landed.
-    pub domain_remaps: [AtomicU64; MAX_DOMAINS],
+    /// replay shows activity precisely where remaps landed. Snapshots
+    /// trim trailing all-zero slots, so single-domain deployments report
+    /// `[n]` and a 2-domain replay reports e.g. `[3, 2]`.
+    per_domain domain_remaps;
     /// Hot-loop batches executed by the machines' domain lanes: every
     /// run steps through lanes, so this is non-zero for every run and
     /// does not depend on `step_threads`.
-    pub par_domain_steps: AtomicU64,
+    sum par_domain_steps;
     /// Highest `MachineConfig::step_threads` any pipeline reporting here
     /// was configured with — the OS threads driving the lanes (a gauge
     /// recorded via `fetch_max`, so mixed sweeps report the widest).
-    pub step_threads: AtomicU64,
+    max step_threads;
     /// Wall-clock nanoseconds spent inside `Machine::run_for` quantum
     /// stepping during profiling (the per-quantum stage timer; excludes
     /// allocator invocation and vote bookkeeping).
-    pub quantum_step_ns: AtomicU64,
+    sum quantum_step_ns;
     /// Fleet coordinator: requests routed to an owning backend (every
     /// proxied `Ingest`/`Map`; batch items count individually).
-    pub fleet_routes: AtomicU64,
+    sum fleet_routes;
     /// Fleet coordinator: process groups whose owning backend changed
     /// across membership rebalances.
-    pub fleet_rebalance_moves: AtomicU64,
+    sum fleet_rebalance_moves;
     /// Fleet coordinator: requests shed by tenant policy (quota, rate
     /// limit, or backlog-driven shedding in priority order).
-    pub tenant_sheds: AtomicU64,
+    sum tenant_sheds;
     /// Fleet coordinator: transport/proxy failures against backends
     /// (each marks a strike toward declaring the backend dead).
-    pub fleet_backend_errors: AtomicU64,
+    sum fleet_backend_errors;
     /// Fleet coordinator: groups whose epoch-ring state was carried to
     /// the new owner (export + import both succeeded) before the route
     /// flipped in a rebalance.
-    pub fleet_warm_handoffs: AtomicU64,
+    sum fleet_warm_handoffs;
     /// Fleet coordinator: moved groups that restarted cold on the new
     /// owner because the warm handoff failed or timed out (the old
     /// owner was dead, hung, or unreachable).
-    pub fleet_cold_fallbacks: AtomicU64,
+    sum fleet_cold_fallbacks;
     /// Fleet coordinator: backend transport errors absorbed by the flap
     /// detector without evicting the backend (strikes below the
     /// eviction threshold, or outside the flap window).
-    pub fleet_flaps_suppressed: AtomicU64,
+    sum fleet_flaps_suppressed;
     /// Fleet coordinator: membership epochs committed to the durable
     /// membership journal (join/evict/drain records; replayed on
     /// restart to rebuild routing deterministically).
-    pub membership_epochs: AtomicU64,
+    sum membership_epochs;
     /// Control plane: `WhatIf` queries answered (memoized and live
     /// evaluations both count; memo hits also land in
     /// [`Counters::memo_hits`]).
-    pub whatif_requests: AtomicU64,
+    sum whatif_requests;
     /// Control plane: decision/counter events pushed to `Subscribe`
     /// watchers (lossy: dropped events are not counted).
-    pub stream_events: AtomicU64,
+    sum stream_events;
     /// Control plane: per-decision `Explanation` records emitted by the
     /// online engine (explanations enabled and a decision produced one).
-    pub explanations_emitted: AtomicU64,
-}
-
-/// Plain-data snapshot of [`Counters`] for serialization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    /// See [`Counters::profile_runs`].
-    pub profile_runs: u64,
-    /// See [`Counters::sim_runs`].
-    pub sim_runs: u64,
-    /// See [`Counters::sim_cycles`].
-    pub sim_cycles: u64,
-    /// See [`Counters::l2_accesses`].
-    pub l2_accesses: u64,
-    /// See [`Counters::l2_misses`].
-    pub l2_misses: u64,
-    /// See [`Counters::memo_hits`].
-    pub memo_hits: u64,
-    /// See [`Counters::memo_misses`].
-    pub memo_misses: u64,
-    /// See [`Counters::mixes_done`].
-    pub mixes_done: u64,
-    /// See [`Counters::online_epochs`].
-    pub online_epochs: u64,
-    /// See [`Counters::online_remaps`].
-    pub online_remaps: u64,
-    /// See [`Counters::serve_requests`].
-    pub serve_requests: u64,
-    /// See [`Counters::serve_errors`].
-    pub serve_errors: u64,
-    /// See [`Counters::serve_batches`].
-    pub serve_batches: u64,
-    /// See [`Counters::recovery_replays`].
-    pub recovery_replays: u64,
-    /// See [`Counters::quarantine_trips`].
-    pub quarantine_trips: u64,
-    /// See [`Counters::degraded_replies`].
-    pub degraded_replies: u64,
-    /// See [`Counters::journal_bytes`].
-    pub journal_bytes: u64,
-    /// See [`Counters::domain_remaps`]. Trailing all-zero slots are
-    /// trimmed, so single-domain deployments report `[n]` and a 2-domain
-    /// replay reports e.g. `[3, 2]`.
-    pub domain_remaps: Vec<u64>,
-    /// See [`Counters::par_domain_steps`].
-    pub par_domain_steps: u64,
-    /// See [`Counters::step_threads`].
-    pub step_threads: u64,
-    /// See [`Counters::quantum_step_ns`].
-    pub quantum_step_ns: u64,
-    /// See [`Counters::fleet_routes`].
-    pub fleet_routes: u64,
-    /// See [`Counters::fleet_rebalance_moves`].
-    pub fleet_rebalance_moves: u64,
-    /// See [`Counters::tenant_sheds`].
-    pub tenant_sheds: u64,
-    /// See [`Counters::fleet_backend_errors`].
-    pub fleet_backend_errors: u64,
-    /// See [`Counters::fleet_warm_handoffs`].
-    pub fleet_warm_handoffs: u64,
-    /// See [`Counters::fleet_cold_fallbacks`].
-    pub fleet_cold_fallbacks: u64,
-    /// See [`Counters::fleet_flaps_suppressed`].
-    pub fleet_flaps_suppressed: u64,
-    /// See [`Counters::membership_epochs`].
-    pub membership_epochs: u64,
-    /// See [`Counters::whatif_requests`].
-    pub whatif_requests: u64,
-    /// See [`Counters::stream_events`].
-    pub stream_events: u64,
-    /// See [`Counters::explanations_emitted`].
-    pub explanations_emitted: u64,
+    sum explanations_emitted;
 }
 
 impl Counters {
@@ -216,100 +260,6 @@ impl Counters {
     pub fn note_step_threads(&self, threads: usize) {
         self.step_threads
             .fetch_max(threads as u64, Ordering::Relaxed);
-    }
-
-    /// Consistent-enough point-in-time copy.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            profile_runs: self.profile_runs.load(Ordering::Relaxed),
-            sim_runs: self.sim_runs.load(Ordering::Relaxed),
-            sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
-            l2_accesses: self.l2_accesses.load(Ordering::Relaxed),
-            l2_misses: self.l2_misses.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            mixes_done: self.mixes_done.load(Ordering::Relaxed),
-            online_epochs: self.online_epochs.load(Ordering::Relaxed),
-            online_remaps: self.online_remaps.load(Ordering::Relaxed),
-            serve_requests: self.serve_requests.load(Ordering::Relaxed),
-            serve_errors: self.serve_errors.load(Ordering::Relaxed),
-            serve_batches: self.serve_batches.load(Ordering::Relaxed),
-            recovery_replays: self.recovery_replays.load(Ordering::Relaxed),
-            quarantine_trips: self.quarantine_trips.load(Ordering::Relaxed),
-            degraded_replies: self.degraded_replies.load(Ordering::Relaxed),
-            journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
-            domain_remaps: {
-                let mut v: Vec<u64> = self
-                    .domain_remaps
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect();
-                while v.last() == Some(&0) {
-                    v.pop();
-                }
-                v
-            },
-            par_domain_steps: self.par_domain_steps.load(Ordering::Relaxed),
-            step_threads: self.step_threads.load(Ordering::Relaxed),
-            quantum_step_ns: self.quantum_step_ns.load(Ordering::Relaxed),
-            fleet_routes: self.fleet_routes.load(Ordering::Relaxed),
-            fleet_rebalance_moves: self.fleet_rebalance_moves.load(Ordering::Relaxed),
-            tenant_sheds: self.tenant_sheds.load(Ordering::Relaxed),
-            fleet_backend_errors: self.fleet_backend_errors.load(Ordering::Relaxed),
-            fleet_warm_handoffs: self.fleet_warm_handoffs.load(Ordering::Relaxed),
-            fleet_cold_fallbacks: self.fleet_cold_fallbacks.load(Ordering::Relaxed),
-            fleet_flaps_suppressed: self.fleet_flaps_suppressed.load(Ordering::Relaxed),
-            membership_epochs: self.membership_epochs.load(Ordering::Relaxed),
-            whatif_requests: self.whatif_requests.load(Ordering::Relaxed),
-            stream_events: self.stream_events.load(Ordering::Relaxed),
-            explanations_emitted: self.explanations_emitted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl CounterSnapshot {
-    /// Fold `other` into `self`: counters sum, the `step_threads` gauge
-    /// keeps the max, and `domain_remaps` adds element-wise (the longer
-    /// vector's tail survives). The fleet coordinator uses this to
-    /// aggregate per-backend `Metrics` replies into fleet-wide totals.
-    pub fn absorb(&mut self, other: &CounterSnapshot) {
-        self.profile_runs += other.profile_runs;
-        self.sim_runs += other.sim_runs;
-        self.sim_cycles += other.sim_cycles;
-        self.l2_accesses += other.l2_accesses;
-        self.l2_misses += other.l2_misses;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-        self.mixes_done += other.mixes_done;
-        self.online_epochs += other.online_epochs;
-        self.online_remaps += other.online_remaps;
-        self.serve_requests += other.serve_requests;
-        self.serve_errors += other.serve_errors;
-        self.serve_batches += other.serve_batches;
-        self.recovery_replays += other.recovery_replays;
-        self.quarantine_trips += other.quarantine_trips;
-        self.degraded_replies += other.degraded_replies;
-        self.journal_bytes += other.journal_bytes;
-        if self.domain_remaps.len() < other.domain_remaps.len() {
-            self.domain_remaps.resize(other.domain_remaps.len(), 0);
-        }
-        for (slot, v) in self.domain_remaps.iter_mut().zip(&other.domain_remaps) {
-            *slot += v;
-        }
-        self.par_domain_steps += other.par_domain_steps;
-        self.step_threads = self.step_threads.max(other.step_threads);
-        self.quantum_step_ns += other.quantum_step_ns;
-        self.fleet_routes += other.fleet_routes;
-        self.fleet_rebalance_moves += other.fleet_rebalance_moves;
-        self.tenant_sheds += other.tenant_sheds;
-        self.fleet_backend_errors += other.fleet_backend_errors;
-        self.fleet_warm_handoffs += other.fleet_warm_handoffs;
-        self.fleet_cold_fallbacks += other.fleet_cold_fallbacks;
-        self.fleet_flaps_suppressed += other.fleet_flaps_suppressed;
-        self.membership_epochs += other.membership_epochs;
-        self.whatif_requests += other.whatif_requests;
-        self.stream_events += other.stream_events;
-        self.explanations_emitted += other.explanations_emitted;
     }
 }
 
@@ -614,13 +564,10 @@ pub struct ServeBenchRecord {
     pub p50_us: f64,
     /// 99th-percentile request latency, microseconds.
     pub p99_us: f64,
-    /// Control plane: `WhatIf` queries the daemon answered over the run
-    /// (from the post-window metrics reply; 0 when none were issued).
-    pub whatif_requests: u64,
-    /// Control plane: decision events pushed to `Subscribe` watchers.
-    pub stream_events: u64,
-    /// Control plane: per-decision explanations recorded (`--explain`).
-    pub explanations_emitted: u64,
+    /// The daemon's counters after the replay window (from the post-window
+    /// `Metrics` reply: the control-plane counters live here, since the
+    /// replay tallies cannot see them). Zeroed until the caller sets it.
+    pub counters: CounterSnapshot,
 }
 
 impl ServeBenchRecord {
@@ -661,19 +608,8 @@ impl ServeBenchRecord {
             decisions_per_sec: decisions as f64 / wall,
             p50_us: quantile(0.5),
             p99_us: quantile(0.99),
-            whatif_requests: 0,
-            stream_events: 0,
-            explanations_emitted: 0,
+            counters: Counters::new().snapshot(),
         }
-    }
-
-    /// Fold the daemon's post-window counter snapshot into the record's
-    /// control-plane columns (the replay tallies cannot see them).
-    pub fn with_control_plane(mut self, counters: &CounterSnapshot) -> Self {
-        self.whatif_requests = counters.whatif_requests;
-        self.stream_events = counters.stream_events;
-        self.explanations_emitted = counters.explanations_emitted;
-        self
     }
 }
 
@@ -715,30 +651,12 @@ pub struct FleetBenchRecord {
     pub retries: u64,
     /// Client-side owner re-resolutions after `route_moved` replies.
     pub rerouted: u64,
-    /// Coordinator `fleet_routes` at the end of the run.
-    pub fleet_routes: u64,
-    /// Coordinator `fleet_rebalance_moves` (must be > 0 when `killed > 0`).
-    pub fleet_rebalance_moves: u64,
-    /// Coordinator `tenant_sheds`.
-    pub tenant_sheds: u64,
-    /// Coordinator `fleet_backend_errors`.
-    pub fleet_backend_errors: u64,
-    /// Coordinator `fleet_warm_handoffs` (moved groups whose epoch-ring
-    /// state was carried to the new owner; must be > 0 when a planned
-    /// drain or kill moved groups off a live backend).
-    pub fleet_warm_handoffs: u64,
-    /// Coordinator `fleet_cold_fallbacks` (moved groups restarted cold
-    /// because their warm handoff failed or timed out).
-    pub fleet_cold_fallbacks: u64,
-    /// Coordinator `fleet_flaps_suppressed` (backend errors absorbed
-    /// without eviction).
-    pub fleet_flaps_suppressed: u64,
-    /// Coordinator `membership_epochs` (durable membership-journal
-    /// epochs committed).
-    pub membership_epochs: u64,
-    /// Aggregate `whatif_requests` across the backends (the coordinator
-    /// proxies `WhatIf` to each group's owner).
-    pub whatif_requests: u64,
+    /// The coordinator's `FleetMetrics` aggregate at the end of the run:
+    /// its own counters (`fleet_rebalance_moves` must be > 0 when
+    /// `killed > 0`; `fleet_warm_handoffs` must be > 0 when a planned
+    /// drain or kill moved groups off a live backend) with every
+    /// reachable backend's `Metrics` absorbed in.
+    pub counters: CounterSnapshot,
     /// Synthetic groups inserted into a routing table to measure
     /// footprint (the ISSUE-mandated 1M-group probe).
     pub synthetic_groups: u64,
@@ -775,6 +693,78 @@ mod tests {
     }
 
     #[test]
+    fn counter_table_snapshots_orders_and_merges_every_field() {
+        let c = Counters::new();
+        // Declaration order; counter `k` holds `k + 1`.
+        let scalars = [
+            &c.profile_runs,
+            &c.sim_runs,
+            &c.sim_cycles,
+            &c.l2_accesses,
+            &c.l2_misses,
+            &c.memo_hits,
+            &c.memo_misses,
+            &c.mixes_done,
+            &c.online_epochs,
+            &c.online_remaps,
+            &c.serve_requests,
+            &c.serve_errors,
+            &c.serve_batches,
+            &c.recovery_replays,
+            &c.quarantine_trips,
+            &c.degraded_replies,
+            &c.journal_bytes,
+            &c.par_domain_steps,
+            &c.step_threads,
+            &c.quantum_step_ns,
+            &c.fleet_routes,
+            &c.fleet_rebalance_moves,
+            &c.tenant_sheds,
+            &c.fleet_backend_errors,
+            &c.fleet_warm_handoffs,
+            &c.fleet_cold_fallbacks,
+            &c.fleet_flaps_suppressed,
+            &c.membership_epochs,
+            &c.whatif_requests,
+            &c.stream_events,
+            &c.explanations_emitted,
+        ];
+        assert_eq!(scalars.len(), CounterSnapshot::SCALARS);
+        assert_eq!(
+            std::mem::size_of::<Counters>(),
+            8 * (CounterSnapshot::SCALARS + MAX_DOMAINS)
+        );
+        for (k, counter) in scalars.iter().enumerate() {
+            Counters::add(counter, k as u64 + 1);
+        }
+        Counters::add(&c.domain_remaps[0], 101);
+        Counters::add(&c.domain_remaps[2], 103);
+
+        let snap = c.snapshot();
+        let ordinal: [u64; CounterSnapshot::SCALARS] = std::array::from_fn(|k| k as u64 + 1);
+        assert_eq!(snap.scalars(), ordinal);
+        assert_eq!(snap.domain_remaps, vec![101, 0, 103]);
+        assert_eq!((snap.step_threads, snap.explanations_emitted), (19, 31));
+        assert_eq!(
+            CounterSnapshot::from_scalars(snap.scalars(), snap.domain_remaps.clone()),
+            snap
+        );
+
+        // Scalars sum except the `step_threads` gauge (max);
+        // `domain_remaps` adds element-wise and keeps the longer tail.
+        let mut merged = snap.clone();
+        merged.absorb(&CounterSnapshot::from_scalars(
+            [100; CounterSnapshot::SCALARS],
+            vec![1, 2, 3, 4],
+        ));
+        let mut expected = ordinal.map(|v| v + 100);
+        expected[18] = 100;
+        assert_eq!(merged.scalars(), expected);
+        assert_eq!(merged.step_threads, 100);
+        assert_eq!(merged.domain_remaps, vec![102, 2, 106, 4]);
+    }
+
+    #[test]
     fn domain_remaps_trim_trailing_zeros() {
         let c = Counters::new();
         assert!(c.snapshot().domain_remaps.is_empty());
@@ -802,6 +792,7 @@ mod tests {
 
     #[test]
     fn trace_writes_jsonl() {
+        let _dir = crate::report::lock_experiments_dir();
         std::env::set_var(
             "SYMBIO_EXPERIMENTS_DIR",
             std::env::temp_dir().join("symbio-obs-test"),
@@ -840,6 +831,7 @@ mod tests {
 
     #[test]
     fn bench_records_merge_by_name() {
+        let _dir = crate::report::lock_experiments_dir();
         std::env::set_var(
             "SYMBIO_EXPERIMENTS_DIR",
             std::env::temp_dir().join("symbio-obs-bench-test"),

@@ -94,6 +94,14 @@ pub fn non_empty(path: &Path) -> bool {
         .unwrap_or(false)
 }
 
+/// Serializes the tests that point `SYMBIO_EXPERIMENTS_DIR` elsewhere:
+/// the variable is process-wide and the harness runs tests in parallel.
+#[cfg(test)]
+pub(crate) fn lock_experiments_dir() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +149,7 @@ mod tests {
 
     #[test]
     fn save_and_reload_json() {
+        let _dir = crate::report::lock_experiments_dir();
         std::env::set_var(
             "SYMBIO_EXPERIMENTS_DIR",
             std::env::temp_dir().join("symbio-test"),
@@ -155,6 +164,7 @@ mod tests {
 
     #[test]
     fn save_csv_writes_rows() {
+        let _dir = crate::report::lock_experiments_dir();
         std::env::set_var(
             "SYMBIO_EXPERIMENTS_DIR",
             std::env::temp_dir().join("symbio-test"),

@@ -40,7 +40,7 @@ impl SweepOptions {
         SweepOptions {
             mix_size: 4,
             stride: 1,
-            threads: crate::parallel::default_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -742,6 +742,7 @@ mod tests {
 
     #[test]
     fn named_engine_writes_trace_and_bench_record() {
+        let _dir = crate::report::lock_experiments_dir();
         std::env::set_var(
             "SYMBIO_EXPERIMENTS_DIR",
             std::env::temp_dir().join("symbio-sweep-obs-test"),

@@ -540,7 +540,7 @@ impl Machine {
 
     /// Run until the frontier advances by `cycles` (or work runs out):
     /// every cache domain's lane steps to the same global target clock;
-    /// see [`Machine::run_lanes`].
+    /// see `Machine::run_lanes`.
     pub fn run_for(&mut self, cycles: u64) {
         debug_assert!(self.sealed, "start() the machine first");
         let stop_before = self.now().saturating_add(cycles);
@@ -563,7 +563,7 @@ impl Machine {
 
     /// Run until every gating process completes once, or `max_cycles` of
     /// frontier progress elapse. Each lane stops when *its own* gating
-    /// threads have completed once; see [`Machine::run_lanes`].
+    /// threads have completed once; see `Machine::run_lanes`.
     pub fn run_to_completion(&mut self, max_cycles: u64) -> RunOutcome {
         if !self.sealed {
             self.start(None);

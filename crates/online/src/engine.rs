@@ -429,13 +429,6 @@ impl OnlineEngine {
         }
     }
 
-    /// Drop one group's in-memory state after it was handed off (the
-    /// journal keeps its history; a later snapshot for the group starts
-    /// a fresh stream here). Returns whether the group existed.
-    pub fn evict_group(&mut self, group: &str) -> bool {
-        self.groups.remove(group).is_some()
-    }
-
     /// Replay the journal at `path` into this engine: windows, committed
     /// mappings, hysteresis watermarks and quarantine states all resume
     /// exactly where the previous process stopped. Replayed frame count

@@ -40,7 +40,7 @@
 //! lines still works, but is **deprecated as of 0.1.0 and scheduled for
 //! removal one release later**: new clients must open with `Hello`. See
 //! [`v1::compat`] for the deprecated constructors and the migration
-//! recipe; `loadgen --encoding legacy` exercises the old path and warns.
+//! recipe.
 
 pub mod v1;
 pub mod v2;
@@ -215,7 +215,8 @@ pub struct BackendStat {
     pub healthy: bool,
     /// Routed groups currently assigned to this backend.
     pub groups: u64,
-    /// Requests proxied to this backend since it joined.
+    /// Decisions proxied to this backend since it joined: each reply
+    /// counts one, except a `Batch` reply, which counts one per item.
     pub proxied: u64,
     /// Errors observed talking to this backend since it joined.
     pub errors: u64,

@@ -427,41 +427,9 @@ fn put_explanation(out: &mut Vec<u8>, e: &Explanation) -> symbio::Result<()> {
 }
 
 fn put_counters(out: &mut Vec<u8>, c: &CounterSnapshot) -> symbio::Result<()> {
-    for v in [
-        c.profile_runs,
-        c.sim_runs,
-        c.sim_cycles,
-        c.l2_accesses,
-        c.l2_misses,
-        c.memo_hits,
-        c.memo_misses,
-        c.mixes_done,
-        c.online_epochs,
-        c.online_remaps,
-        c.serve_requests,
-        c.serve_errors,
-        c.serve_batches,
-        c.recovery_replays,
-        c.quarantine_trips,
-        c.degraded_replies,
-        c.journal_bytes,
-    ] {
+    for v in c.scalars() {
         put_u64(out, v);
     }
-    put_u64(out, c.par_domain_steps);
-    put_u64(out, c.step_threads);
-    put_u64(out, c.quantum_step_ns);
-    put_u64(out, c.fleet_routes);
-    put_u64(out, c.fleet_rebalance_moves);
-    put_u64(out, c.tenant_sheds);
-    put_u64(out, c.fleet_backend_errors);
-    put_u64(out, c.fleet_warm_handoffs);
-    put_u64(out, c.fleet_cold_fallbacks);
-    put_u64(out, c.fleet_flaps_suppressed);
-    put_u64(out, c.membership_epochs);
-    put_u64(out, c.whatif_requests);
-    put_u64(out, c.stream_events);
-    put_u64(out, c.explanations_emitted);
     put_count(out, c.domain_remaps.len())?;
     for v in &c.domain_remaps {
         put_u64(out, *v);
@@ -849,47 +817,16 @@ fn decode_decision(r: &mut Reader) -> symbio::Result<Decision> {
 }
 
 fn decode_counters(r: &mut Reader) -> symbio::Result<CounterSnapshot> {
-    Ok(CounterSnapshot {
-        profile_runs: r.u64()?,
-        sim_runs: r.u64()?,
-        sim_cycles: r.u64()?,
-        l2_accesses: r.u64()?,
-        l2_misses: r.u64()?,
-        memo_hits: r.u64()?,
-        memo_misses: r.u64()?,
-        mixes_done: r.u64()?,
-        online_epochs: r.u64()?,
-        online_remaps: r.u64()?,
-        serve_requests: r.u64()?,
-        serve_errors: r.u64()?,
-        serve_batches: r.u64()?,
-        recovery_replays: r.u64()?,
-        quarantine_trips: r.u64()?,
-        degraded_replies: r.u64()?,
-        journal_bytes: r.u64()?,
-        par_domain_steps: r.u64()?,
-        step_threads: r.u64()?,
-        quantum_step_ns: r.u64()?,
-        fleet_routes: r.u64()?,
-        fleet_rebalance_moves: r.u64()?,
-        tenant_sheds: r.u64()?,
-        fleet_backend_errors: r.u64()?,
-        fleet_warm_handoffs: r.u64()?,
-        fleet_cold_fallbacks: r.u64()?,
-        fleet_flaps_suppressed: r.u64()?,
-        membership_epochs: r.u64()?,
-        whatif_requests: r.u64()?,
-        stream_events: r.u64()?,
-        explanations_emitted: r.u64()?,
-        domain_remaps: {
-            let n = r.bounded_count(8)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.u64()?);
-            }
-            v
-        },
-    })
+    let mut scalars = [0; CounterSnapshot::SCALARS];
+    for v in &mut scalars {
+        *v = r.u64()?;
+    }
+    let n = r.bounded_count(8)?;
+    let mut domain_remaps = Vec::with_capacity(n);
+    for _ in 0..n {
+        domain_remaps.push(r.u64()?);
+    }
+    Ok(CounterSnapshot::from_scalars(scalars, domain_remaps))
 }
 
 fn decode_component_gain(r: &mut Reader) -> symbio::Result<ComponentGain> {

@@ -3,20 +3,20 @@
 //!
 //! Architecture (std + raw epoll, no async runtime):
 //!
-//! * **Reactors** ([`reactor`]) — `workers` epoll event loops sharing
+//! * **Reactors** (`reactor`) — `workers` epoll event loops sharing
 //!   one nonblocking listener. Each reactor owns its accepted sessions
 //!   end to end: it reads bytes, peels frames with the session's
 //!   negotiated codec, answers what it can locally (`Hello`, `Metrics`,
 //!   degraded fallbacks) and forwards engine work to shards.
-//! * **Shards** ([`shard`]) — one thread per shard, each owning a whole
+//! * **Shards** (`shard`) — one thread per shard, each owning a whole
 //!   [`OnlineEngine`] (epoch rings, quarantine state, journal segment).
 //!   A process group is pinned to a shard by hash, so per-group state
 //!   never migrates and no engine lock exists anywhere.
-//! * **Queues** ([`queue`]) — every (reactor, shard) pair is connected
+//! * **Queues** (`queue`) — every (reactor, shard) pair is connected
 //!   by two bounded SPSC rings: jobs one way, completions the other. A
 //!   full job ring is load shedding: the reactor answers from the
 //!   last-good mapping cache (`degraded`) instead of blocking.
-//! * **Sessions** ([`session`]) — per-connection protocol state:
+//! * **Sessions** (`session`) — per-connection protocol state:
 //!   negotiated encoding, read buffer, and the in-order pending-reply
 //!   queue that keeps pipelined and batched replies in request order
 //!   even when they complete on different shards.

@@ -147,40 +147,8 @@ impl Gen {
     }
 
     fn counters(&mut self) -> CounterSnapshot {
-        CounterSnapshot {
-            profile_runs: self.next(),
-            sim_runs: self.next(),
-            sim_cycles: self.next(),
-            l2_accesses: self.next(),
-            l2_misses: self.next(),
-            memo_hits: self.next(),
-            memo_misses: self.next(),
-            mixes_done: self.next(),
-            online_epochs: self.next(),
-            online_remaps: self.next(),
-            serve_requests: self.next(),
-            serve_errors: self.next(),
-            serve_batches: self.next(),
-            recovery_replays: self.next(),
-            quarantine_trips: self.next(),
-            degraded_replies: self.next(),
-            journal_bytes: self.next(),
-            par_domain_steps: self.next(),
-            step_threads: self.next(),
-            quantum_step_ns: self.next(),
-            fleet_routes: self.next(),
-            fleet_rebalance_moves: self.next(),
-            tenant_sheds: self.next(),
-            fleet_backend_errors: self.next(),
-            fleet_warm_handoffs: self.next(),
-            fleet_cold_fallbacks: self.next(),
-            fleet_flaps_suppressed: self.next(),
-            membership_epochs: self.next(),
-            domain_remaps: (0..self.below(4)).map(|_| self.next()).collect(),
-            whatif_requests: self.next(),
-            stream_events: self.next(),
-            explanations_emitted: self.next(),
-        }
+        let scalars = std::array::from_fn(|_| self.next());
+        CounterSnapshot::from_scalars(scalars, (0..self.below(4)).map(|_| self.next()).collect())
     }
 
     fn explanation(&mut self) -> Explanation {
