@@ -397,14 +397,6 @@ impl BitVec {
         fused_popcount(&self.words, &other.words, FusedOp::And) as u32
     }
 
-    /// In-place `self |= other`.
-    pub fn or_assign(&mut self, other: &BitVec) {
-        self.assert_same_width(other);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// Copy `other` into `self` (same width required). This is the hardware
     /// snapshot `LF ← CF` performed at a context switch.
     pub fn copy_from(&mut self, other: &BitVec) {

@@ -41,11 +41,6 @@ impl CacheGeometry {
         CacheGeometry::new(8 << 10, 4, 64)
     }
 
-    /// The P4 Xeon's private 2 MiB 8-way L2 (Figure 3(a) machine).
-    pub fn p4_private_l2() -> Self {
-        CacheGeometry::new(2 << 20, 8, 64)
-    }
-
     /// Panics when any field is not a power of two or sizes are
     /// inconsistent.
     pub fn validate(&self) {

@@ -169,15 +169,6 @@ impl SetAssocCache {
         &self.stats[core]
     }
 
-    /// Aggregate stats across cores.
-    pub fn total_stats(&self) -> CacheStats {
-        let mut t = CacheStats::default();
-        for s in &self.stats {
-            t.merge(s);
-        }
-        t
-    }
-
     /// Invalidate everything (counters retained).
     pub fn flush(&mut self) {
         self.lines.flush();

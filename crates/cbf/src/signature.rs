@@ -67,15 +67,6 @@ pub struct SignatureSample {
 }
 
 impl SignatureSample {
-    /// Occupancy as a fraction of the filter width.
-    pub fn occupancy_ratio(&self) -> f64 {
-        if self.filter_len == 0 {
-            0.0
-        } else {
-            f64::from(self.occupancy) / self.filter_len as f64
-        }
-    }
-
     /// The paper's *interference metric*: the reciprocal of symbiosis with
     /// core `j` (Section 3.3.2). A zero symbiosis is mapped to the inverse
     /// of one-half so it stays finite yet dominates any real value. The

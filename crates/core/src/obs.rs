@@ -165,7 +165,7 @@ counters! {
     /// [`Counters::online_epochs`]).
     sum serve_batches;
     /// Journal frames replayed during recovery
-    /// (`OnlineEngine::recover_from`).
+    /// (`OnlineEngine::recover_journaled`).
     sum recovery_replays;
     /// Process groups tripped into quarantine by repeated invalid
     /// snapshots.

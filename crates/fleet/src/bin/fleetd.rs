@@ -19,9 +19,11 @@
 //! `acme`), and unknown tenants are admitted unconstrained.
 //!
 //! `--journal` makes the membership durable: every join/evict/drain is
-//! CRC-framed to the file before it takes effect, and a restarted
+//! committed to the file before it takes effect, through the same
+//! CRC-framed write-ahead log as `symbiod --journal`, and a restarted
 //! fleetd replays it to a byte-identical routing view (the journal then
-//! wins over `--backends`). `--flap-threshold`/`--flap-window-ms` tune
+//! wins over `--backends`), after repairing a crash tail exactly as
+//! `symbiod` does. `--flap-threshold`/`--flap-window-ms` tune
 //! how many failed probes inside the window a backend survives before
 //! eviction; `--handoff-timeout-ms` bounds each group's warm handoff.
 //!

@@ -19,7 +19,8 @@
 //!   [`symbio_serve::WireClient`] and the binary envelope; send and
 //!   receive are separate so frames to several backends can be in
 //!   flight at once);
-//! * [`membership`] — durable membership: the CRC-framed journal a
+//! * [`membership`] — durable membership: a write-ahead log on the
+//!   engine journal's own [`symbio_online::journal::Wal`] that a
 //!   restarted coordinator replays to a byte-identical routing view,
 //!   plus the flap detector that de-bounces eviction;
 //! * [`handoff`] — the per-group warm-handoff state machine

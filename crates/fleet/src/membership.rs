@@ -1,14 +1,15 @@
-//! Durable fleet membership (DESIGN.md §14): a CRC-framed journal of
+//! Durable fleet membership (DESIGN.md §14): a write-ahead log of
 //! membership transitions plus the flap detector that guards eviction.
 //!
 //! The coordinator's membership — which backends exist, in which epoch —
 //! used to live only in memory: a restarted `fleetd` forgot every
 //! eviction and drain and came back routing to dead peers. This module
-//! makes the membership survivable with the same crash discipline as the
-//! engine journal ([`symbio_online::journal`]): each transition is one
-//! line, `{crc32:08x} {json}\n`, appended before the transition takes
-//! effect, and replay tolerates a torn final line (the crash tail) by
-//! truncating it. Because rendezvous routing is a pure function of the
+//! makes the membership survivable with the engine journal's own log,
+//! [`symbio_online::journal::Wal`]: each transition is one line,
+//! `{crc32:08x} {json}\n`, committed before the transition takes effect,
+//! and reopening repairs a crash tail exactly as engine recovery does (a
+//! torn final line is truncated, a valid one that lost only its newline
+//! is kept). Because rendezvous routing is a pure function of the
 //! membership, replaying the journal reconstructs a byte-identical
 //! routing view — same owners, same epoch.
 //!
@@ -21,11 +22,9 @@
 use crate::assign::Membership;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
-use symbio::Error;
-use symbio_online::journal::crc32;
+use std::ops::RangeInclusive;
+use std::path::Path;
+use symbio_online::journal::{Record, Wal};
 
 /// Format version stamped as the journal's first record. Bump on any
 /// incompatible change to [`MemberRecord`] or the framing.
@@ -64,55 +63,14 @@ pub enum MemberRecord {
     },
 }
 
-/// Encode one record as a checksummed journal line (with trailing `\n`).
-pub fn encode_member_frame(record: &MemberRecord) -> symbio::Result<String> {
-    let json = serde_json::to_string(record)
-        .map_err(|e| Error::InvalidConfig(format!("membership record encode: {e}")))?;
-    Ok(format!("{:08x} {json}\n", crc32(json.as_bytes())))
-}
-
-/// Decode one journal line (no trailing `\n`). `None` on any fault:
-/// bad UTF-8, malformed header, checksum mismatch, unparsable JSON.
-pub fn decode_member_frame(line: &[u8]) -> Option<MemberRecord> {
-    let text = std::str::from_utf8(line).ok()?;
-    let (crc_hex, json) = text.split_once(' ')?;
-    if crc_hex.len() != 8 {
-        return None;
-    }
-    let want = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc32(json.as_bytes()) != want {
-        return None;
-    }
-    serde_json::from_str(json).ok()
-}
-
-/// Length of the valid frame prefix of raw journal bytes. Everything
-/// past it (a torn or corrupt tail) is unreachable by replay and safe
-/// to truncate.
-fn valid_prefix(data: &[u8]) -> usize {
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let (line, next, terminated) = match data[pos..].iter().position(|&b| b == b'\n') {
-            Some(i) => (&data[pos..pos + i], pos + i + 1, true),
-            None => (&data[pos..], data.len(), false),
-        };
-        if line.is_empty() {
-            if !terminated {
-                break;
-            }
-            pos = next;
-            continue;
-        }
-        if !terminated || decode_member_frame(line).is_none() {
-            break;
-        }
-        pos = next;
-    }
-    pos
+impl Record for MemberRecord {
+    const VERSIONS: RangeInclusive<u32> = 1..=MEMBER_JOURNAL_VERSION;
+    const CHECKPOINT: Option<&'static str> = None;
+    const FAULT_SITE: &'static str = "membership_write";
 }
 
 /// Outcome of replaying a membership journal.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MemberReplay {
     /// The reconstructed membership — `None` when the journal held no
     /// `Seed` yet (a fresh coordinator seeds from its command line and
@@ -125,127 +83,57 @@ pub struct MemberReplay {
     pub truncated: bool,
 }
 
-/// Fold one record into the replayed membership. Mirrors exactly the
-/// mutation the live coordinator performs when it writes the record.
-fn apply_member(membership: &mut Option<Membership>, record: &MemberRecord) -> bool {
+/// Fold one record into the replay. Mirrors exactly the mutation the
+/// live coordinator performs when it writes the record.
+fn apply_member(replay: &mut MemberReplay, record: &MemberRecord) {
+    let membership = &mut replay.membership;
     match record {
-        MemberRecord::Meta { .. } => false,
+        MemberRecord::Meta { .. } => return,
         MemberRecord::Seed { backends } => {
             *membership = Some(Membership::new(backends.iter().cloned()));
-            true
         }
         MemberRecord::Join { addr } => {
             let m = membership.get_or_insert_with(Membership::default);
             m.apply(std::slice::from_ref(addr), &[]);
-            true
         }
         MemberRecord::Evict { addr } | MemberRecord::Drain { addr } => {
             let m = membership.get_or_insert_with(Membership::default);
             m.apply(&[], std::slice::from_ref(addr));
-            true
         }
     }
+    replay.epochs += 1;
 }
 
-/// The append-side handle to a membership journal. [`MemberJournal::open`]
-/// replays (and repairs) the file; [`MemberJournal::append`] frames and
-/// flushes one record per transition, *before* the transition takes
-/// effect in memory.
+/// The append-side handle to a membership journal: a [`Wal`] of
+/// [`MemberRecord`]s. [`MemberJournal::open`] replays (and repairs) the
+/// file; [`MemberJournal::append`] commits one record per transition,
+/// *before* the transition takes effect in memory.
 #[derive(Debug)]
 pub struct MemberJournal {
-    file: File,
-    path: PathBuf,
-    bytes: u64,
-}
-
-fn member_write_gate() -> symbio::Result<()> {
-    symbio::faultpoint!("membership_write");
-    Ok(())
+    wal: Wal<MemberRecord>,
 }
 
 impl MemberJournal {
-    /// Open (or create) the journal at `path`: truncate any torn tail,
-    /// replay the valid prefix, and position for appends. A fresh file
-    /// gets the `Meta` version stamp; a non-empty one must carry a
+    /// Open (or create) the journal at `path`, repaired as [`Wal::open`]
+    /// describes, and replay it. A non-empty journal must carry a
     /// compatible version.
     pub fn open(path: &Path) -> symbio::Result<(MemberJournal, MemberReplay)> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(path)?;
-        let mut data = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut data)?;
-        let valid = valid_prefix(&data);
-        let truncated = valid < data.len();
-        if truncated {
-            file.set_len(valid as u64)?;
-        }
-        file.seek(SeekFrom::End(0))?;
-
-        let mut replay = MemberReplay {
-            membership: None,
-            epochs: 0,
-            truncated,
+        let (wal, recovery) = Wal::open(path, apply_member)?;
+        let replay = MemberReplay {
+            truncated: recovery.truncated,
+            ..recovery.state
         };
-        let mut pos = 0usize;
-        while pos < valid {
-            let end = data[pos..valid]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map_or(valid, |i| pos + i);
-            let line = &data[pos..end];
-            pos = end + 1;
-            if line.is_empty() {
-                continue;
-            }
-            let record = decode_member_frame(line).expect("frame validated by valid_prefix");
-            if let MemberRecord::Meta { version } = record {
-                if version != MEMBER_JOURNAL_VERSION {
-                    return Err(Error::InvalidConfig(format!(
-                        "membership journal version {version} (this build replays {MEMBER_JOURNAL_VERSION})"
-                    )));
-                }
-                continue;
-            }
-            if apply_member(&mut replay.membership, &record) {
-                replay.epochs += 1;
-            }
-        }
-
-        let mut journal = MemberJournal {
-            file,
-            path: path.to_path_buf(),
-            bytes: valid as u64,
-        };
-        if valid == 0 {
-            journal.append(&MemberRecord::Meta {
-                version: MEMBER_JOURNAL_VERSION,
-            })?;
-        }
-        Ok((journal, replay))
+        Ok((MemberJournal { wal }, replay))
     }
 
-    /// The journal's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Valid bytes on disk (replayed prefix plus appends this run).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Frame, write and flush one record. Write-ahead: call this before
+    /// Frame and write one record. Write-ahead: call this before
     /// mutating the in-memory membership, so a crash between the two
     /// replays to the *post*-transition state, never an unjournaled one.
+    /// A failed write leaves the frame staged, and the next append writes
+    /// it first.
     pub fn append(&mut self, record: &MemberRecord) -> symbio::Result<()> {
-        member_write_gate()?;
-        let frame = encode_member_frame(record)?;
-        self.file.write_all(frame.as_bytes())?;
-        self.file.flush()?;
-        self.bytes += frame.len() as u64;
+        self.wal.append(record)?;
+        self.wal.commit()?;
         Ok(())
     }
 }
@@ -302,6 +190,8 @@ impl FlapDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use symbio_online::journal::decode_frame;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -310,35 +200,53 @@ mod tests {
         p
     }
 
+    fn write(path: &Path, records: &[MemberRecord]) -> Vec<u8> {
+        let (mut j, _) = MemberJournal::open(path).unwrap();
+        for r in records {
+            j.append(r).unwrap();
+        }
+        std::fs::read(path).unwrap()
+    }
+
     #[test]
     fn frames_round_trip() {
-        for record in [
-            MemberRecord::Meta {
-                version: MEMBER_JOURNAL_VERSION,
-            },
+        let path = temp_path("frames");
+        let records = [
             MemberRecord::Seed {
-                backends: vec!["127.0.0.1:7001".into(), "127.0.0.1:7002".into()],
+                backends: vec!["a:1".into(), "b:2".into()],
             },
-            MemberRecord::Join {
-                addr: "127.0.0.1:7003".into(),
-            },
-            MemberRecord::Evict {
-                addr: "127.0.0.1:7001".into(),
-            },
-            MemberRecord::Drain {
-                addr: "127.0.0.1:7002".into(),
-            },
-        ] {
-            let frame = encode_member_frame(&record).expect("encode");
-            let line = frame.trim_end_matches('\n').as_bytes();
-            assert_eq!(decode_member_frame(line), Some(record));
-        }
+            MemberRecord::Join { addr: "c:3".into() },
+            MemberRecord::Evict { addr: "a:1".into() },
+            MemberRecord::Drain { addr: "b:2".into() },
+        ];
+        let raw = write(&path, &records);
+        // Pinned bytes: every build must read every other build's journal.
+        assert_eq!(
+            String::from_utf8(raw.clone()).unwrap(),
+            concat!(
+                "f98fc3e0 {\"Meta\":{\"version\":1}}\n",
+                "2c38df3b {\"Seed\":{\"backends\":[\"a:1\",\"b:2\"]}}\n",
+                "80b6286d {\"Join\":{\"addr\":\"c:3\"}}\n",
+                "0d29dde8 {\"Evict\":{\"addr\":\"a:1\"}}\n",
+                "40313482 {\"Drain\":{\"addr\":\"b:2\"}}\n",
+            )
+        );
+        let decoded: Vec<MemberRecord> = raw
+            .split(|&b| b == b'\n')
+            .filter(|line| !line.is_empty())
+            .map(|line| decode_frame(line).expect("intact frame"))
+            .collect();
+        let meta = MemberRecord::Meta {
+            version: MEMBER_JOURNAL_VERSION,
+        };
+        assert_eq!(decoded[0], meta);
+        assert_eq!(decoded[1..], records);
         // A flipped byte fails the checksum, not the parser.
-        let frame = encode_member_frame(&MemberRecord::Join { addr: "x:1".into() }).unwrap();
-        let mut bytes = frame.trim_end_matches('\n').as_bytes().to_vec();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x20;
-        assert_eq!(decode_member_frame(&bytes), None);
+        let mut line = raw[..raw.iter().position(|&b| b == b'\n').unwrap()].to_vec();
+        let last = line.len() - 1;
+        line[last] ^= 0x20;
+        assert_eq!(decode_frame::<MemberRecord>(&line), None);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -391,8 +299,13 @@ mod tests {
         // append half a frame, as a crash mid-write would.
         let (_, intact) = MemberJournal::open(&path).unwrap();
         let mut raw = std::fs::read(&path).unwrap();
-        let torn = encode_member_frame(&MemberRecord::Evict { addr: "a:1".into() }).unwrap();
-        raw.extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
+        let last_line = raw[..raw.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let torn = raw[last_line..].to_vec();
+        raw.extend_from_slice(&torn[..torn.len() / 2]);
         std::fs::write(&path, &raw).unwrap();
 
         let (j, replay) = MemberJournal::open(&path).unwrap();
@@ -404,6 +317,49 @@ mod tests {
         let (_, again) = MemberJournal::open(&path).unwrap();
         assert!(!again.truncated);
         assert_eq!(again.membership, intact.membership);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_valid_final_frame_missing_its_newline_is_kept() {
+        let path = temp_path("newline");
+        let mut raw = write(
+            &path,
+            &[
+                MemberRecord::Seed {
+                    backends: vec!["a:1".into()],
+                },
+                MemberRecord::Join { addr: "b:2".into() },
+            ],
+        );
+        let intact = raw.clone();
+        assert_eq!(raw.pop(), Some(b'\n'));
+        std::fs::write(&path, &raw).unwrap();
+
+        let (j, replay) = MemberJournal::open(&path).unwrap();
+        assert!(!replay.truncated);
+        assert_eq!(replay.epochs, 2);
+        let members = replay.membership.expect("seeded").addrs();
+        assert_eq!(members, ["a:1", "b:2"]);
+        drop(j);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            intact,
+            "the newline is restored"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bytes_written_counts_this_writers_bytes() {
+        let path = temp_path("bytes");
+        let before = write(&path, &[MemberRecord::Join { addr: "a:1".into() }]);
+        let (mut j, _) = MemberJournal::open(&path).unwrap();
+        assert_eq!(j.wal.bytes_written(), 0, "replaying wrote nothing");
+        j.append(&MemberRecord::Join { addr: "b:2".into() })
+            .unwrap();
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(j.wal.bytes_written(), (after.len() - before.len()) as u64);
         let _ = std::fs::remove_file(&path);
     }
 

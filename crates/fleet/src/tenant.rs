@@ -167,11 +167,6 @@ impl TenantRegistry {
         self.intern_spec(TenantSpec::open(tenant))
     }
 
-    /// The id of the tenant at `index`.
-    pub fn id_of(&self, index: u16) -> &str {
-        &self.tenants[index as usize].spec.id
-    }
-
     /// Known tenants.
     pub fn len(&self) -> usize {
         self.tenants.len()

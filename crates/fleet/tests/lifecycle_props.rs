@@ -11,7 +11,7 @@
 //! (c) **journal replay equivalence** — a membership journal with an
 //!     arbitrarily torn tail replays to exactly the membership of its
 //!     valid prefix (truncation loses at most the torn record, never
-//!     corrupts);
+//!     corrupts; a valid final frame that lost only its newline is kept);
 //! (d) **batch fan-out** (ISSUE 14) — the pure half of the coordinator's
 //!     `IngestBatch` path: for any owner per item, `partition` followed
 //!     by `scatter` puts every item back in its own slot, each owner
@@ -24,8 +24,9 @@
 
 use proptest::prelude::*;
 use symbio_fleet::coordinator::{partition, scatter};
-use symbio_fleet::membership::{decode_member_frame, MemberJournal, MemberRecord};
+use symbio_fleet::membership::{MemberJournal, MemberRecord};
 use symbio_fleet::{Handoff, HandoffEvent, HandoffOutcome, HandoffState, Membership};
+use symbio_online::journal::decode_frame;
 
 /// Deterministic value generator (xorshift64*), seeded per case.
 struct Gen(u64);
@@ -173,41 +174,51 @@ proptest! {
         }
         let intact = std::fs::read(&path).expect("read back");
 
-        // Tear the file at an arbitrary byte, then glue on garbage that
-        // can't checksum: replay must reconstruct exactly the membership
-        // of the longest whole-frame prefix.
+        // Tear the file at an arbitrary byte, once bare and once with
+        // garbage that can't checksum glued on: replay must reconstruct
+        // exactly the membership of the longest prefix of checksum-valid
+        // frames, whose last frame may lack its `\n`.
         let cut_at = gen.below(intact.len() as u64 + 1) as usize;
-        let mut torn = intact[..cut_at].to_vec();
-        torn.extend_from_slice(b"ffffffff {\"torn\":");
-        std::fs::write(&path, &torn).expect("tear");
+        for glue in [false, true] {
+            let mut torn = intact[..cut_at].to_vec();
+            if glue {
+                torn.extend_from_slice(b"ffffffff {\"torn\":");
+            }
+            std::fs::write(&path, &torn).expect("tear");
 
-        let whole_frames = intact[..cut_at]
-            .split_inclusive(|&b| b == b'\n')
-            .filter(|line| line.ends_with(b"\n"))
-            .map(|line| &line[..line.len() - 1]);
-        let mut expect: Option<Membership> = None;
-        for line in whole_frames {
-            match decode_member_frame(line) {
-                Some(MemberRecord::Meta { .. }) | None => {}
-                Some(MemberRecord::Seed { backends }) => {
-                    expect = Some(Membership::new(backends));
-                }
-                Some(MemberRecord::Join { addr }) => {
-                    expect
-                        .get_or_insert_with(Membership::default)
-                        .apply(&[addr], &[]);
-                }
-                Some(MemberRecord::Evict { addr }) | Some(MemberRecord::Drain { addr }) => {
-                    expect
-                        .get_or_insert_with(Membership::default)
-                        .apply(&[], &[addr]);
+            let mut expect: Option<Membership> = None;
+            let mut truncated = false;
+            for line in torn.split_inclusive(|&b| b == b'\n') {
+                let frame = line.strip_suffix(b"\n").unwrap_or(line);
+                match decode_frame::<MemberRecord>(frame) {
+                    None => {
+                        truncated = true;
+                        break;
+                    }
+                    Some(MemberRecord::Meta { .. }) => {}
+                    Some(MemberRecord::Seed { backends }) => {
+                        expect = Some(Membership::new(backends));
+                    }
+                    Some(MemberRecord::Join { addr }) => {
+                        expect
+                            .get_or_insert_with(Membership::default)
+                            .apply(&[addr], &[]);
+                    }
+                    Some(MemberRecord::Evict { addr }) | Some(MemberRecord::Drain { addr }) => {
+                        expect
+                            .get_or_insert_with(Membership::default)
+                            .apply(&[], &[addr]);
+                    }
                 }
             }
-        }
 
-        let (_, replay) = MemberJournal::open(&path).expect("reopen torn");
-        prop_assert!(replay.truncated, "the glued garbage is always a torn tail");
-        prop_assert_eq!(replay.membership, expect);
+            let (_, replay) = MemberJournal::open(&path).expect("reopen torn");
+            if glue {
+                prop_assert!(replay.truncated, "the glued garbage is always a torn tail");
+            }
+            prop_assert_eq!(replay.truncated, truncated);
+            prop_assert_eq!(replay.membership, expect);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

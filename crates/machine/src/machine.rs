@@ -109,16 +109,6 @@ pub struct RunOutcome {
     pub l2_misses: u64,
 }
 
-impl RunOutcome {
-    /// User time of a process by name.
-    pub fn user_time(&self, name: &str) -> Option<u64> {
-        self.procs
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.user_cycles)
-    }
-}
-
 /// Execute exactly one operation of thread `t` against its pre-resolved
 /// memory channel: cost model, memory system, virtualization tax,
 /// retirement and completion-restart. Returns `(cost, gating_first)`.

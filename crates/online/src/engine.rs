@@ -20,8 +20,8 @@
 //!   transition is journaled (checksummed, written) before the decision
 //!   is returned — or, for a batch fed through
 //!   [`OnlineEngine::ingest_staged`], before [`OnlineEngine::commit`]
-//!   returns — and [`OnlineEngine::recover_from`] rebuilds the exact
-//!   pre-crash state from the journal after a restart.
+//!   returns — and [`OnlineEngine::recover_journaled`] rebuilds the
+//!   exact pre-crash state from the journal after a restart.
 
 use crate::config::OnlineConfig;
 use crate::journal::{
@@ -217,11 +217,6 @@ impl OnlineEngine {
     pub fn with_explanations(mut self, enabled: bool) -> Self {
         self.explanations = enabled;
         self
-    }
-
-    /// Whether per-decision explanations are being recorded.
-    pub fn explanations_enabled(&self) -> bool {
-        self.explanations
     }
 
     /// Why `group`'s last decision went the way it did (`None` for an
@@ -429,37 +424,23 @@ impl OnlineEngine {
         }
     }
 
-    /// Replay the journal at `path` into this engine: windows, committed
-    /// mappings, hysteresis watermarks and quarantine states all resume
-    /// exactly where the previous process stopped. Replayed frame count
-    /// lands in the `recovery_replays` counter. A missing file is a
-    /// fresh start. Does *not* attach a writer — pair with
-    /// [`JournalWriter::open`] + [`OnlineEngine::with_journal`] to keep
-    /// journaling after recovery.
-    pub fn recover_from(&mut self, path: &Path) -> symbio::Result<Recovery> {
-        let recovery = Recovery::load(path, self.cfg.window)?;
-        self.adopt(&recovery);
-        Ok(recovery)
-    }
-
-    /// [`OnlineEngine::recover_from`] and [`OnlineEngine::with_journal`]
-    /// on the same file in one read of it: replay the journal at `path`
-    /// into this engine, then keep journaling to it (created if missing).
+    /// Replay the journal at `path` into this engine, then keep
+    /// journaling to it (created if missing), in one read of the file:
+    /// windows, committed mappings, hysteresis watermarks and quarantine
+    /// states all resume exactly where the previous process stopped.
+    /// Replayed frame count lands in the `recovery_replays` counter.
+    /// `snapshot_every` is [`JournalWriter::open`]'s checkpoint cadence.
     pub fn recover_journaled(
         &mut self,
         path: &Path,
         snapshot_every: u64,
     ) -> symbio::Result<Recovery> {
         let (writer, recovery) = JournalWriter::recover(path, snapshot_every, self.cfg.window)?;
-        self.adopt(&recovery);
-        self.journal = Some(writer);
-        Ok(recovery)
-    }
-
-    fn adopt(&mut self, recovery: &Recovery) {
         self.restore(&recovery.state);
         Counters::add(&self.counters.recovery_replays, recovery.frames);
         Counters::add(&self.counters.journal_bytes, recovery.bytes);
+        self.journal = Some(writer);
+        Ok(recovery)
     }
 
     /// Ingest one snapshot and journal what it changed before returning:

@@ -1,4 +1,5 @@
-//! Crash-safe persistence for the online engine.
+//! Crash-safe persistence for the online engine, and the write-ahead log
+//! it shares with the fleet's membership journal.
 //!
 //! `symbiod` must survive a SIGKILL without forgetting its vote windows
 //! or hysteresis state: a restarted daemon that re-elects from scratch
@@ -20,9 +21,15 @@
 //! from a crash mid-append therefore loses at most the unacknowledged
 //! tail, never corrupts the prefix. A final line whose checksum passes
 //! but whose newline is missing is accepted (the crash landed between
-//! the payload and the terminator). [`JournalWriter::open`] truncates
-//! the file back to this valid prefix before appending anything new, so
-//! a recovered daemon's fresh frames are never stranded behind garbage.
+//! the payload and the terminator). [`Wal::open`] truncates the file back
+//! to this valid prefix before appending anything new, so a recovered
+//! process's fresh frames are never stranded behind garbage.
+//!
+//! [`Wal`] is that framing, replay and repair, generic over the
+//! [`Record`] type: [`JournalWriter`] is a `Wal<JournalRecord>` plus the
+//! checkpoint schedule, and `symbio-fleet`'s membership journal is a
+//! `Wal` of membership transitions, so both recover from a crash the
+//! same way.
 //!
 //! ## Cost per decision
 //!
@@ -32,12 +39,12 @@
 //! transition records alone, and the tail after the last checkpoint is at
 //! most one checkpoint long, however many groups the engine holds: the
 //! cadence follows the state size instead of being tuned against it.
-//! Recovery ([`Recovery::load`], [`JournalWriter::open`]) checks every
-//! line's CRC but JSON-decodes only `Meta` lines and the frames from the
-//! last checkpoint on. [`JournalWriter::append`] only stages a frame;
-//! [`JournalWriter::commit`] writes everything staged with one
-//! `write_all`, so a caller may acknowledge a whole batch of decisions
-//! behind a single write (write-ahead-of-ack holds per commit).
+//! Recovery ([`Recovery::load`], [`Wal::open`]) checks every line's CRC
+//! but JSON-decodes only `Meta` lines and the frames from the last
+//! checkpoint on. [`Wal::append`] only stages a frame; [`Wal::commit`]
+//! writes everything staged with one `write_all`, so a caller may
+//! acknowledge a whole batch of decisions behind a single write
+//! (write-ahead-of-ack holds per commit).
 //!
 //! ## Why transitions, not snapshots of inputs
 //!
@@ -52,7 +59,9 @@
 use crate::ring::PartitionKey;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
+use std::marker::PhantomData;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use symbio_machine::Mapping;
 
@@ -340,11 +349,38 @@ impl EngineState {
     }
 }
 
-/// Outcome of replaying a journal file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Recovery {
-    /// The reconstructed engine state.
-    pub state: EngineState,
+/// A record type a [`Wal`] frames, replays and repairs. It must have a
+/// `Meta { version: u32 }` variant: the log writes that line itself, with
+/// the same bytes whatever the record type.
+pub trait Record: Serialize + Deserialize {
+    /// Format versions this build replays; a log is stamped with the
+    /// highest.
+    const VERSIONS: RangeInclusive<u32>;
+    /// JSON prefix of the full-state checkpoint variant, if the type has
+    /// one: replay decodes from the last checkpoint on.
+    const CHECKPOINT: Option<&'static str>;
+    /// Fault-injection site checked by every [`Wal::commit`] that writes.
+    const FAULT_SITE: &'static str;
+}
+
+/// The `Meta` line as every [`Record`] type spells it.
+#[derive(Serialize, Deserialize)]
+enum Header {
+    Meta { version: u32 },
+}
+
+impl Record for JournalRecord {
+    const VERSIONS: RangeInclusive<u32> = 1..=JOURNAL_VERSION;
+    const CHECKPOINT: Option<&'static str> = Some("{\"Snapshot\"");
+    const FAULT_SITE: &'static str = "journal_write";
+}
+
+/// Outcome of replaying a log: the state its records fold into (by
+/// default the engine's).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Recovery<S = EngineState> {
+    /// The reconstructed state.
+    pub state: S,
     /// Intact frames in the replayed prefix.
     pub frames: u64,
     /// Bytes of valid journal consumed.
@@ -357,12 +393,7 @@ pub struct Recovery {
 impl Recovery {
     /// An empty recovery (no journal on disk: fresh start).
     pub fn empty() -> Self {
-        Recovery {
-            state: EngineState::default(),
-            frames: 0,
-            bytes: 0,
-            truncated: false,
-        }
+        Self::default()
     }
 
     /// Replay the journal at `path` into an [`EngineState`], tolerating
@@ -371,16 +402,22 @@ impl Recovery {
     /// not an error; an unsupported format version is.
     pub fn load(path: &Path, window: usize) -> io::Result<Recovery> {
         match std::fs::read(path) {
-            Ok(data) => Ok(replay(&data, window)?.recovery),
+            Ok(data) => Ok(replay(&data, engine_fold(window))?.recovery),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Recovery::empty()),
             Err(e) => Err(e),
         }
     }
 }
 
-/// Append `record` to `buf` as one checksummed journal line (with its
-/// trailing `\n`); returns the line's byte length.
-fn push_frame(buf: &mut Vec<u8>, record: &JournalRecord) -> io::Result<u64> {
+/// How engine replay folds a record: [`EngineState::apply`] with the
+/// engine's ring capacity.
+fn engine_fold(window: usize) -> impl FnMut(&mut EngineState, &JournalRecord) {
+    move |state, record| state.apply(record, window)
+}
+
+/// Append `record` to `buf` as one checksummed line (with its trailing
+/// `\n`); returns the line's byte length.
+fn push_frame(buf: &mut Vec<u8>, record: &impl Serialize) -> io::Result<u64> {
     let json = serde_json::to_string(record)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let start = buf.len();
@@ -404,7 +441,7 @@ fn checked_json(line: &[u8]) -> Option<&str> {
 
 /// Decode one journal line (no trailing `\n`). `None` on any fault:
 /// bad UTF-8, malformed header, checksum mismatch, unparsable JSON.
-pub fn decode_frame(line: &[u8]) -> Option<JournalRecord> {
+pub fn decode_frame<T: Deserialize>(line: &[u8]) -> Option<T> {
     serde_json::from_str(checked_json(line)?).ok()
 }
 
@@ -428,10 +465,10 @@ fn lines(data: &[u8]) -> impl Iterator<Item = (usize, &[u8], bool)> {
     })
 }
 
-/// What one pass over a journal's bytes establishes: the replayed state,
+/// What one pass over a log's bytes establishes: the replayed state,
 /// and where and how a writer resumes appending.
-struct Replay {
-    recovery: Recovery,
+struct Replay<S> {
+    recovery: Recovery<S>,
     /// Length of the prefix replay reached. Everything past it is
     /// unreachable by any later replay and safe to truncate.
     valid: usize,
@@ -443,12 +480,15 @@ struct Replay {
     checkpoint_bytes: u64,
 }
 
-/// Replay raw journal bytes, stopping at the first frame that fails its
-/// checksum or does not decode. Every line is checksummed, but only
-/// `Meta` lines and the frames from the last checkpoint on are
-/// JSON-decoded: a checkpoint replaces the state, so what precedes it
-/// cannot change the outcome.
-fn replay(data: &[u8], window: usize) -> io::Result<Replay> {
+/// Replay raw log bytes, stopping at the first frame that fails its
+/// checksum or does not decode, folding each record into a fresh `S`.
+/// Every line is checksummed, but only `Meta` lines and the frames from
+/// the last checkpoint on are JSON-decoded: a checkpoint replaces the
+/// state, so what precedes it cannot change the outcome.
+fn replay<R: Record, S: Default>(
+    data: &[u8],
+    mut fold: impl FnMut(&mut S, &R),
+) -> io::Result<Replay<S>> {
     let mut end = data.len();
     let mut truncated = false;
     loop {
@@ -468,20 +508,21 @@ fn replay(data: &[u8], window: usize) -> io::Result<Replay> {
                 break;
             };
             if json.starts_with("{\"Meta\"") {
-                let Ok(JournalRecord::Meta { version: v }) = serde_json::from_str(json) else {
+                let Ok(Header::Meta { version: v }) = serde_json::from_str(json) else {
                     truncated = true;
                     break;
                 };
-                if !(1..=JOURNAL_VERSION).contains(&v) {
+                if !R::VERSIONS.contains(&v) {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!(
-                            "journal format version {v} (this build replays 1..={JOURNAL_VERSION})"
+                            "journal format version {v} (this build replays {:?})",
+                            R::VERSIONS
                         ),
                     ));
                 }
                 version = Some(v);
-            } else if json.starts_with("{\"Snapshot\"") {
+            } else if R::CHECKPOINT.is_some_and(|prefix| json.starts_with(prefix)) {
                 tail = at;
                 skipped = (frames, bytes);
                 checkpoint_bytes = line.len() as u64 + 1;
@@ -493,7 +534,7 @@ fn replay(data: &[u8], window: usize) -> io::Result<Replay> {
         }
 
         // Decode pass, from the last checkpoint (or the start) on.
-        let mut state = EngineState::default();
+        let mut state = S::default();
         (frames, bytes) = skipped;
         let mut undecodable = None;
         for (at, line, terminated) in lines(&data[tail..valid]) {
@@ -504,7 +545,7 @@ fn replay(data: &[u8], window: usize) -> io::Result<Replay> {
                 undecodable = Some(tail + at);
                 break;
             };
-            state.apply(&record, window);
+            fold(&mut state, &record);
             frames += 1;
             bytes += (line.len() + usize::from(terminated)) as u64;
         }
@@ -535,41 +576,135 @@ fn replay(data: &[u8], window: usize) -> io::Result<Replay> {
     }
 }
 
-/// Append-only journal writer with group commit and checkpoint
-/// scheduling.
+/// An append-only log of checksummed `R` frames with group commit.
 ///
-/// [`JournalWriter::append`] stages frames in memory and
-/// [`JournalWriter::commit`] writes them; the engine commits before it
-/// acknowledges the decisions the frames record, so an acknowledged
-/// decision is always recoverable (the OS page cache survives a SIGKILL
-/// of the daemon; only a kernel crash can lose it, which is outside this
-/// failure model).
+/// [`Wal::append`] stages frames in memory and [`Wal::commit`] writes
+/// them; a caller commits before it acts on or acknowledges what the
+/// frames record, so an acknowledged transition is always recoverable
+/// (the OS page cache survives a SIGKILL of the process; only a kernel
+/// crash can lose it, which is outside this failure model).
 #[derive(Debug)]
-pub struct JournalWriter {
+pub struct Wal<R> {
     file: File,
     path: PathBuf,
-    snapshot_every: u64,
-    /// Records appended since the last checkpoint.
-    since_snapshot: u64,
-    /// Bytes appended since the last checkpoint.
-    bytes_since_snapshot: u64,
-    /// Byte length of the last checkpoint frame (0 until one is known).
-    checkpoint_bytes: u64,
     /// Frames staged by `append` that `commit` has not written yet. The
     /// buffer is reused, so steady-state appends allocate nothing here.
     staged: Vec<u8>,
     bytes: u64,
+    /// Records and bytes staged since the last checkpoint frame.
+    since_checkpoint: (u64, u64),
+    /// Byte length of the last checkpoint frame (0 until one is known).
+    checkpoint_bytes: u64,
+    record: PhantomData<fn(&R)>,
+}
+
+impl<R: Record> Wal<R> {
+    /// Open (or create) the log at `path` for appending, and replay it:
+    /// every record from the last checkpoint on is folded into a
+    /// `S::default()`. A torn or corrupt tail left by a crash is truncated
+    /// away (replay could never reach past it, so frames appended after it
+    /// would be stranded), a valid-but-unterminated final frame gets its
+    /// missing newline, and a file that does not already say so is stamped
+    /// with a `Meta` line of this build's version (a fresh file as its
+    /// header; an older log so that an older build refuses it instead of
+    /// truncating records it cannot decode).
+    pub fn open<S: Default>(
+        path: impl Into<PathBuf>,
+        fold: impl FnMut(&mut S, &R),
+    ) -> io::Result<(Self, Recovery<S>)> {
+        let path = path.into();
+        // Append mode: every write lands at the end, also after `set_len`.
+        let mut file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .read(true)
+            .open(&path)?;
+        let mut data = Vec::new();
+        file.read_to_end(&mut data)?;
+        let replay = replay(&data, fold)?;
+        if replay.valid < data.len() {
+            file.set_len(replay.valid as u64)?;
+        }
+        let mut wal = Wal {
+            file,
+            path,
+            staged: Vec::new(),
+            bytes: 0,
+            since_checkpoint: (0, 0),
+            checkpoint_bytes: replay.checkpoint_bytes,
+            record: PhantomData,
+        };
+        if replay.needs_newline {
+            wal.staged.push(b'\n');
+        }
+        let version = *R::VERSIONS.end();
+        if replay.version != Some(version) {
+            wal.stage(&Header::Meta { version })?;
+        }
+        wal.commit()?;
+        Ok((wal, replay.recovery))
+    }
+
+    /// Path the log writes to.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Bytes written by this writer (not the file's total size).
+    pub fn bytes_written(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Stage one checksummed frame for the next [`Wal::commit`]. Returns
+    /// the frame's byte length.
+    pub fn append(&mut self, record: &R) -> io::Result<u64> {
+        self.stage(record)
+    }
+
+    fn stage(&mut self, record: &impl Serialize) -> io::Result<u64> {
+        let start = self.staged.len();
+        let n = push_frame(&mut self.staged, record)?;
+        let json = &self.staged[start + 9..];
+        if R::CHECKPOINT.is_some_and(|prefix| json.starts_with(prefix.as_bytes())) {
+            self.since_checkpoint = (0, 0);
+            self.checkpoint_bytes = n;
+        } else {
+            self.since_checkpoint.0 += 1;
+            self.since_checkpoint.1 += n;
+        }
+        Ok(n)
+    }
+
+    /// Write every staged frame with one `write_all` and return the byte
+    /// count (0, and no write, when nothing is staged). On failure the
+    /// frames stay staged, so the next commit writes them, in order.
+    pub fn commit(&mut self) -> io::Result<u64> {
+        if self.staged.is_empty() {
+            return Ok(0);
+        }
+        if let Some(e) = symbio::obs::fault::check(R::FAULT_SITE) {
+            return Err(e);
+        }
+        self.file.write_all(&self.staged)?;
+        let n = self.staged.len() as u64;
+        self.staged.clear();
+        self.bytes += n;
+        Ok(n)
+    }
+}
+
+/// The engine's journal: a [`Wal`] of [`JournalRecord`]s plus the
+/// checkpoint schedule. The engine commits before it acknowledges the
+/// decisions the frames record.
+#[derive(Debug)]
+pub struct JournalWriter {
+    wal: Wal<JournalRecord>,
+    snapshot_every: u64,
 }
 
 impl JournalWriter {
-    /// Open (or create) the journal at `path` for appending. A torn or
-    /// corrupt tail left by a crash is truncated away (replay could
-    /// never reach past it, so frames appended after it would be
-    /// stranded), a valid-but-unterminated final frame gets its missing
-    /// newline, and a file that does not already say so is stamped with
-    /// a [`JournalRecord::Meta`] line of this build's version (a fresh
-    /// file as its header; an older journal so that an older build
-    /// refuses it instead of truncating records it cannot decode).
+    /// Open (or create) the journal at `path` for appending, repaired as
+    /// [`Wal::open`] describes.
     ///
     /// A checkpoint is scheduled once at least `snapshot_every` records
     /// (min 1) and at least as many bytes as the previous checkpoint took
@@ -587,74 +722,35 @@ impl JournalWriter {
         snapshot_every: u64,
         window: usize,
     ) -> io::Result<(Self, Recovery)> {
-        let path = path.into();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(&path)?;
-        let mut data = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut data)?;
-        let replay = replay(&data, window)?;
-        if replay.valid < data.len() {
-            file.set_len(replay.valid as u64)?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        let mut writer = JournalWriter {
-            file,
-            path,
-            snapshot_every: snapshot_every.max(1),
-            since_snapshot: 0,
-            bytes_since_snapshot: 0,
-            checkpoint_bytes: replay.checkpoint_bytes,
-            staged: Vec::new(),
-            bytes: 0,
-        };
-        if replay.needs_newline {
-            writer.staged.push(b'\n');
-        }
-        if replay.version != Some(JOURNAL_VERSION) {
-            writer.append(&JournalRecord::Meta {
-                version: JOURNAL_VERSION,
-            })?;
-        }
-        writer.commit()?;
-        Ok((writer, replay.recovery))
+        let (wal, recovery) = Wal::open(path, engine_fold(window))?;
+        let snapshot_every = snapshot_every.max(1);
+        Ok((
+            JournalWriter {
+                wal,
+                snapshot_every,
+            },
+            recovery,
+        ))
     }
 
     /// Path the journal writes to.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.wal.path()
     }
 
     /// Bytes written by this writer (not the file's total size).
     pub fn bytes_written(&self) -> u64 {
-        self.bytes
+        self.wal.bytes_written()
     }
 
-    /// Stage one checksummed frame for the next [`JournalWriter::commit`].
-    /// Returns the frame's byte length.
+    /// Stage one frame: [`Wal::append`].
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<u64> {
-        let n = push_frame(&mut self.staged, record)?;
-        self.since_snapshot += 1;
-        self.bytes_since_snapshot += n;
-        Ok(n)
+        self.wal.append(record)
     }
 
-    /// Write every staged frame with one `write_all` and return the byte
-    /// count (0, and no write, when nothing is staged). On failure the
-    /// frames stay staged, so the call can be retried.
+    /// Write everything staged: [`Wal::commit`].
     pub fn commit(&mut self) -> io::Result<u64> {
-        if self.staged.is_empty() {
-            return Ok(0);
-        }
-        symbio::faultpoint!("journal_write");
-        self.file.write_all(&self.staged)?;
-        let n = self.staged.len() as u64;
-        self.staged.clear();
-        self.bytes += n;
-        Ok(n)
+        self.wal.commit()
     }
 
     /// Whether the engine should append a full-state checkpoint now: at
@@ -663,18 +759,14 @@ impl JournalWriter {
     /// journal's growth (≤ 2× the transition records) and the replay
     /// tail (≤ 1× the state) at any group count.
     pub fn snapshot_due(&self) -> bool {
-        self.since_snapshot >= self.snapshot_every
-            && self.bytes_since_snapshot >= self.checkpoint_bytes
+        let (records, bytes) = self.wal.since_checkpoint;
+        records >= self.snapshot_every && bytes >= self.wal.checkpoint_bytes
     }
 
-    /// Stage a [`JournalRecord::Snapshot`] of `state` and reset the
+    /// Stage a [`JournalRecord::Snapshot`] of `state`, which restarts the
     /// schedule.
     pub fn write_snapshot(&mut self, state: EngineState) -> io::Result<u64> {
-        let n = self.append(&JournalRecord::Snapshot(state))?;
-        self.since_snapshot = 0;
-        self.bytes_since_snapshot = 0;
-        self.checkpoint_bytes = n;
-        Ok(n)
+        self.append(&JournalRecord::Snapshot(state))
     }
 }
 
@@ -725,9 +817,9 @@ mod tests {
         let mut bad = line.to_vec();
         let k = bad.len() - 2;
         bad[k] ^= 0x01;
-        assert_eq!(decode_frame(&bad), None);
-        assert_eq!(decode_frame(b"not a frame"), None);
-        assert_eq!(decode_frame(b"zzzzzzzz {}"), None);
+        assert_eq!(decode_frame::<JournalRecord>(&bad), None);
+        assert_eq!(decode_frame::<JournalRecord>(b"not a frame"), None);
+        assert_eq!(decode_frame::<JournalRecord>(b"zzzzzzzz {}"), None);
     }
 
     #[test]

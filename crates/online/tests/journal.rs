@@ -168,9 +168,8 @@ fn restarted_engine_continues_the_decision_stream_identically() {
 
     // Second incarnation recovers and serves the rest.
     let mut second = engine(OnlineConfig::default());
-    let recovery = second.recover_from(&path).unwrap();
+    let recovery = second.recover_journaled(&path, 256).unwrap();
     assert!(recovery.frames > 0);
-    let mut second = second.with_journal(JournalWriter::open(&path, 256).unwrap());
     let got_second = feed(&mut second, &trace[split..]);
 
     let got: Vec<String> = got_first.into_iter().chain(got_second).collect();
@@ -223,9 +222,8 @@ fn reopening_a_journal_resumes_appending_after_the_valid_prefix() {
     // Reopen repairs the tail, and both the reopened writer's appends and
     // a later replay see one consistent, fully-valid journal.
     let mut second = engine(OnlineConfig::default());
-    let recovery = second.recover_from(&path).unwrap();
+    let recovery = second.recover_journaled(&path, 256).unwrap();
     assert!(recovery.truncated, "the torn frame must be dropped");
-    let mut second = second.with_journal(JournalWriter::open(&path, 256).unwrap());
     feed(&mut second, &trace[split..]);
     drop(second);
 
@@ -308,8 +306,13 @@ fn imported_group_survives_a_crash_before_the_next_checkpoint() {
     assert!(!text.contains("\"Snapshot\""));
 
     let mut revived = engine(OnlineConfig::default());
-    let recovery = revived.recover_from(&path).unwrap();
+    let recovery = revived.recover_journaled(&path, 256).unwrap();
     assert!(!recovery.truncated);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        text,
+        "a current-version journal reopens without a write"
+    );
     assert_eq!(recovery.state, live, "replay must include the import");
     assert_eq!(revived.state(), live);
     assert_eq!(revived.last_seq("g"), src.last_seq("g"));

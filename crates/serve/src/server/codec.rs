@@ -45,7 +45,7 @@ impl FrameBuffer {
     }
 
     /// Whether nothing is buffered.
-    #[allow(dead_code)] // exercised by tests; kept for API symmetry
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
